@@ -2,9 +2,9 @@
 
 Subcommands: validate, classify, factor, theorems, enumerate, examples.
 Exit codes: 0 success, 1 validation failure (or size cap exceeded),
-2 parse/I-O errors and unknown elements/kinds/names.  All output is
-deterministic: stable key order, elements ordered by index, no
-timestamps.
+2 parse/I-O errors, unknown elements/kinds/names and bad arguments.
+All output is deterministic: stable key order, elements ordered by
+index, no timestamps.
 """
 
 from __future__ import annotations
@@ -134,6 +134,9 @@ def cmd_theorems(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.size < 1:
+        print(f"error: size must be at least 1, got {args.size}", file=sys.stderr)
+        return 2
     cap = HARD_SIZE_CAP if args.allow_size_7 else DEFAULT_SIZE_CAP
     if args.allow_size_7 and args.size >= 7:
         print("warning: size-7 enumeration may take a while", file=sys.stderr)

@@ -154,22 +154,16 @@ def _closure(up: list[int], n: int) -> None:
                 up[i] |= up[k]
 
 
-def _least_of(mask: int, up: tuple[int, ...], n: int) -> Optional[int]:
-    """Least element of the subset ``mask``, or None if there is none."""
+def _extremum(mask: int, cone: tuple[int, ...]) -> Optional[int]:
+    """The element ``u`` of ``mask`` with ``mask`` inside ``cone[u]``, or None.
+
+    With up-set masks as cones this is the least element of ``mask``;
+    with down-set masks, the greatest.
+    """
     rest = mask
     while rest:
         u = (rest & -rest).bit_length() - 1
-        if mask & ~up[u] == 0:
-            return u
-        rest &= rest - 1
-    return None
-
-
-def _greatest_of(mask: int, down: tuple[int, ...], n: int) -> Optional[int]:
-    rest = mask
-    while rest:
-        u = (rest & -rest).bit_length() - 1
-        if mask & ~down[u] == 0:
+        if mask & ~cone[u] == 0:
             return u
         rest &= rest - 1
     return None
@@ -192,8 +186,8 @@ def order_tables(
         for j in range(i, n):
             ub = up[i] & up[j]
             lb = down[i] & down[j]
-            lu = _least_of(ub, up, n)
-            gl = _greatest_of(lb, down, n)
+            lu = _extremum(ub, up)
+            gl = _extremum(lb, down)
             if lu is None or gl is None:
                 return None, None, (i, j)
             join[i][j] = join[j][i] = lu

@@ -3,15 +3,32 @@
 Two stages: generate all bounded lattice orders on ``n`` unlabeled
 elements (one per isomorphism class), then for each order generate all
 multiplication tables satisfying the axioms, up to order-automorphism.
+
 Isomorphism classes are identified by a canonical byte form minimized
 over relabelings that fix the bottom and the top (an order isomorphism
-always maps bounds to bounds, so nothing is lost).
+always maps bounds to bounds, so nothing is lost).  The order bytes
+come first in that form, so only the relabelings that carry the order
+to its canonical up-masks can reach the minimum.  One helper,
+``_canonical_order``, computes those up-masks together with the
+relabelings that reach them, once per labeled order; the order stage,
+the automorphism dedup and :func:`canonical_form` all use it.
 
 The multiplication search only branches on products of proper
 join-irreducible elements: the remaining entries are forced by join
-distributivity and propagated, and every completed table is checked
-against the full axiom set before being emitted.  Hence every emitted
-lattice validates cleanly.
+distributivity and propagated.  Two checks prune a branch as soon as a
+partial table breaks an axiom:
+
+- monotonicity: a new entry ``x*y = v`` must lie above every known
+  entry ``a*b`` with ``a <= x`` and ``b <= y`` and below every known
+  entry above it, tested with bitmask up- and down-sets;
+- associativity: once the products ``p*q``, ``q*r``, ``(p*q)*r`` and
+  ``p*(q*r)`` of join-irreducibles ``p, q, r`` are all known, the two
+  sides must agree.
+
+Both are consequences of the axioms, so every pruned branch holds no
+solution.  A completed table passes the associativity check on every
+triple of join-irreducibles, then the full axiom check, before it is
+emitted.  Hence every emitted lattice validates cleanly.
 
 The per-order searches are independent, so the work may be partitioned
 across worker processes; results are merged in a fixed sorted order and
@@ -20,6 +37,7 @@ are byte-identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -53,6 +71,8 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 6
 HARD_SIZE_CAP = 7
+
+Table = tuple[tuple[int, ...], ...]
 
 
 class SizeCapExceeded(LatticeError):
@@ -92,8 +112,15 @@ def _encode_leq(up: tuple[int, ...], n: int) -> bytes:
     return bytes(up[i] >> j & 1 for i in range(n) for j in range(n))
 
 
-def _encode_mul(mul: tuple[tuple[int, ...], ...], n: int) -> bytes:
-    return bytes(mul[i][j] for i in range(n) for j in range(n))
+def _encode_relabeled_mul(mul: Table, perm: tuple[int, ...]) -> bytes:
+    """Row-major bytes of the product table after relabeling ``i`` as ``perm[i]``."""
+    src = sorted(range(len(perm)), key=perm.__getitem__)
+    return bytes(perm[mul[a][b]] for a in src for b in src)
+
+
+def _down_masks(up: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(up)
+    return tuple(sum(1 << i for i in range(n) if up[i] >> x & 1) for x in range(n))
 
 
 def _middle_perms(n: int) -> list[tuple[int, ...]]:
@@ -117,14 +144,46 @@ def _permute_up(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int
     return tuple(out)
 
 
-def _permute_mul(
-    mul: tuple[tuple[int, ...], ...], perm: tuple[int, ...], n: int
-) -> tuple[tuple[int, ...], ...]:
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[perm[i]][perm[j]] = perm[mul[i][j]]
-    return tuple(map(tuple, out))
+@functools.lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each relabeling fixing 0 and n-1, with the weights that encode an order.
+
+    Under ``perm`` element ``j`` moves to row and column ``perm[j]``.
+    ``bits[j]`` and ``shifts[j]`` place that column and that row in one
+    integer ordered like ``_encode_leq`` (row 0, column 0 most
+    significant).
+    """
+    out = []
+    for perm in _middle_perms(n):
+        rev = [n - 1 - k for k in perm]
+        out.append((perm, tuple(1 << r for r in rev), tuple(n * r for r in rev)))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=4096)
+def _canonical_order(
+    up: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Canonical up-masks of an order with bottom 0 and top n-1.
+
+    Returns the relabeled up-masks whose ``_encode_leq`` is least, and
+    every relabeling fixing 0 and n-1 that produces them, in
+    ``_middle_perms`` order.
+    """
+    n = len(up)
+    rows = [[j for j in range(n) if up[i] >> j & 1] for i in range(n)]
+    keys = {}
+    for perm, bits, shifts in _relabelings(n):
+        key = 0
+        for i, row in enumerate(rows):
+            img = 0
+            for j in row:
+                img |= bits[j]
+            key |= img << shifts[i]
+        keys[perm] = key
+    best = min(keys.values())
+    reach = tuple(perm for perm, key in keys.items() if key == best)
+    return _permute_up(up, reach[0], n), reach
 
 
 def canonical_form(L: FiniteMultLattice) -> bytes:
@@ -136,22 +195,18 @@ def canonical_form(L: FiniteMultLattice) -> bytes:
     concatenated order and product tables.
     """
     n = L.n
+    # move the bounds to 0 and n-1, keeping the other elements in order
     mids = [i for i in range(n) if i not in (L.bottom, L.top)]
-    best: Optional[bytes] = None
-    for target in itertools.permutations(range(1, n - 1)) if n > 2 else [()]:
-        perm = [0] * n
-        perm[L.bottom] = 0
-        perm[L.top] = n - 1
-        for src, dst in zip(mids, target):
-            perm[src] = dst
-        pt = tuple(perm)
-        up = _permute_up(L._up, pt, n)
-        mul = _permute_mul(L._mul, pt, n)
-        cand = bytes([n]) + _encode_leq(up, n) + _encode_mul(mul, n)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    bounds_out = [0] * n
+    bounds_out[L.top] = n - 1
+    for k, x in enumerate(mids, start=1):
+        bounds_out[x] = k
+    up, reach = _canonical_order(_permute_up(L._up, tuple(bounds_out), n))
+    mul = min(
+        _encode_relabeled_mul(L._mul, tuple(perm[k] for k in bounds_out))
+        for perm in reach
+    )
+    return bytes([n]) + _encode_leq(up, n) + mul
 
 
 # -- stage one: bounded lattice orders --------------------------------------
@@ -185,16 +240,8 @@ def enumerate_bounded_lattices(
             join, meet, missing = order_tables(up, n)
             if missing is not None:
                 return
-            canon = min(
-                _encode_leq(_permute_up(up, p, n), n) for p in _middle_perms(n)
-            )
-            if canon not in found:
-                # store the relabeled representative achieving the minimum
-                rep = min(
-                    (_permute_up(up, p, n) for p in _middle_perms(n)),
-                    key=lambda u: _encode_leq(u, n),
-                )
-                found[canon] = rep
+            canon, _ = _canonical_order(up)
+            found.setdefault(_encode_leq(canon, n), canon)
             return
         if k == n - 1:
             choices = [(1 << k) - 1]  # top lies above everything
@@ -236,59 +283,61 @@ def enumerate_bounded_lattices(
 
 def order_automorphisms(order: OrderTable) -> list[tuple[int, ...]]:
     """All relabelings of the order onto itself (they fix bottom and top)."""
-    return [
-        p
-        for p in _middle_perms(order.n)
-        if _permute_up(order.up, p, order.n) == order.up
-    ]
+    _, reach = _canonical_order(order.up)
+    # p and reach[0] carry the order to the same up-masks, so reach[0]^-1 . p
+    # fixes it; for a canonical order reach[0] is the identity.
+    back = sorted(range(order.n), key=reach[0].__getitem__)
+    return [tuple(back[k] for k in perm) for perm in reach]
 
 
 # -- stage two: multiplication tables ---------------------------------------
 
 
-def _lower_covers(order: OrderTable, x: int) -> list[int]:
-    down_x = [i for i in range(order.n) if order.leq(i, x) and i != x]
-    return [
-        i
-        for i in down_x
-        if not any(j != i and order.leq(i, j) for j in down_x)
-    ]
-
-
-def _mult_tables(order: OrderTable) -> list[tuple[tuple[int, ...], ...]]:
+def _mult_tables(order: OrderTable) -> list[Table]:
     """All axiom-satisfying multiplication tables on the order (raw search).
 
     Branches only on products of proper join-irreducible pairs; the
-    rest is forced by distributivity and propagated.  Completed tables
-    are checked against the full axiom set.  Returns tables before
-    automorphism dedup, in deterministic order.
+    rest is forced by distributivity and propagated.  Monotonicity and
+    associativity on join-irreducibles prune partial tables; completed
+    tables are checked against the full axiom set.  Returns tables
+    before automorphism dedup, in deterministic order.
     """
     n, B, T = order.n, order.bottom, order.top
     if n == 1 or B == T:
         return []  # a one-element structure collapses bottom and top
-    join, meet = order.join, order.meet
-    up = order.up
+    join, meet, up = order.join, order.meet, order.up
+    down = _down_masks(up)
     mids = [i for i in range(n) if i not in (B, T)]
 
-    jirr = [x for x in mids if len(_lower_covers(order, x)) == 1]
-    dec: dict[int, tuple[int, int]] = {}
+    covers = {}
     for x in mids:
-        if x not in jirr:
-            covers = _lower_covers(order, x)
-            dec[x] = (covers[0], covers[1])  # any two distinct covers join to x
+        below = down[x] & ~(1 << x)
+        covers[x] = [i for i in range(n) if below >> i & 1 and up[i] & below == 1 << i]
+    jirr = [x for x in mids if len(covers[x]) == 1]
+    # any two distinct lower covers join to x
+    dec = {x: (c[0], c[1]) for x, c in covers.items() if len(c) > 1}
 
     table: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for x in range(n):
         table[x][B] = table[B][x] = B
         table[x][T] = table[T][x] = x
 
-    free = [(p, q) for p, q in itertools.combinations_with_replacement(jirr, 2)]
-    free.sort(key=lambda pq: (bin(_down_mask(up, meet[pq[0]][pq[1]], n)).count("1"), pq))
-    domains = {
-        (p, q): [v for v in range(n) if order.leq(v, meet[p][q])] for p, q in free
-    }
+    free = list(itertools.combinations_with_replacement(jirr, 2))
+    free.sort(key=lambda pq: (bin(down[meet[pq[0]][pq[1]]]).count("1"), pq))
+    domains = [[v for v in range(n) if down[meet[p][q]] >> v & 1] for p, q in free]
 
-    assigned: list[tuple[int, int]] = []  # trail for undo, (x, y) with x <= y
+    # associativity (p*q)*r == p*(q*r) over join-irreducibles; p < r suffices
+    # by commutativity.  Each triple is first checked at the depth where
+    # the later of p*q and q*r is chosen.
+    depth = {pq: i for i, pq in enumerate(free)}
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in free]
+    for q in jirr:
+        for p, r in itertools.combinations(jirr, 2):
+            at = max(depth[min(p, q), max(p, q)], depth[min(q, r), max(q, r)])
+            checks[at].append((p, q, r))
+    triples = [t for at in checks for t in at]
+
+    assigned: list[tuple[int, int, int]] = []  # trail for undo, (x, y, x*y)
 
     def set_cell(x: int, y: int, v: int) -> bool:
         if x > y:
@@ -296,79 +345,96 @@ def _mult_tables(order: OrderTable) -> list[tuple[tuple[int, ...], ...]]:
         cur = table[x][y]
         if cur is not None:
             return cur == v
-        if not order.leq(v, meet[x][y]):
+        if not down[meet[x][y]] >> v & 1:
             return False
         # monotonicity against already-known cells
-        for a, b in assigned:
-            w = table[a][b]
-            if (
-                (order.leq(a, x) and order.leq(b, y))
-                or (order.leq(b, x) and order.leq(a, y))
-            ) and not order.leq(w, v):
+        dx, dy, ux, uy = down[x], down[y], up[x], up[y]
+        dv, uv = down[v], up[v]
+        for a, b, w in assigned:
+            if (dx >> a & dy >> b | dx >> b & dy >> a) & 1 and not dv >> w & 1:
                 return False
-            if (
-                (order.leq(x, a) and order.leq(y, b))
-                or (order.leq(y, a) and order.leq(x, b))
-            ) and not order.leq(v, w):
+            if (ux >> a & uy >> b | ux >> b & uy >> a) & 1 and not uv >> w & 1:
                 return False
         table[x][y] = table[y][x] = v
-        assigned.append((x, y))
+        assigned.append((x, y, v))
         return True
 
     def propagate() -> bool:
         changed = True
         while changed:
             changed = False
-            for x in mids:
-                if x in dec:
-                    u, v = dec[x]
-                    for y in mids:
-                        a, b = table[u][y], table[v][y]
-                        if a is None or b is None:
-                            continue
-                        val = join[a][b]
-                        cur = table[min(x, y)][max(x, y)]
-                        if cur is None:
-                            if not set_cell(x, y, val):
-                                return False
-                            changed = True
-                        elif cur != val:
+            for x, (u, v) in dec.items():
+                for y in mids:
+                    a, b = table[u][y], table[v][y]
+                    if a is None or b is None:
+                        continue
+                    val = join[a][b]
+                    cur = table[x][y]
+                    if cur is None:
+                        if not set_cell(x, y, val):
                             return False
+                        changed = True
+                    elif cur != val:
+                        return False
         return True
 
-    results: list[tuple[tuple[int, ...], ...]] = []
+    def associative(group: list[tuple[int, int, int]]) -> bool:
+        for p, q, r in group:
+            left = table[table[p][q]][r]
+            right = table[p][table[q][r]]
+            if left != right and left is not None and right is not None:
+                return False
+        return True
 
-    def complete_ok() -> bool:
-        rows = [list(r) for r in table]
-        assert all(v is not None for r in rows for v in r)
-        return not multiplication_violations(
-            tuple(map(str, range(n))), join, rows, B, T
-        )
+    labels = tuple(map(str, range(n)))
+    results: list[Table] = []
 
     def dfs(i: int) -> None:
         if i == len(free):
-            if propagate() and complete_ok():
-                results.append(tuple(tuple(r) for r in table))
+            if associative(triples) and not multiplication_violations(
+                labels, join, table, B, T
+            ):
+                results.append(tuple(map(tuple, table)))
             return
         p, q = free[i]
-        if table[p][q] is not None:  # filled by propagation
-            dfs(i + 1)
-            return
         mark = len(assigned)
-        for v in domains[(p, q)]:
-            if set_cell(p, q, v) and propagate():
+        for v in domains[i]:
+            if set_cell(p, q, v) and propagate() and associative(checks[i]):
                 dfs(i + 1)
             while len(assigned) > mark:
-                a, b = assigned.pop()
+                a, b, _ = assigned.pop()
                 table[a][b] = table[b][a] = None
-        return
 
     dfs(0)
     return results
 
 
-def _down_mask(up: tuple[int, ...], x: int, n: int) -> int:
-    return sum(1 << i for i in range(n) if up[i] >> x & 1)
+def _mult_reps(order: OrderTable) -> list[Table]:
+    """One table per automorphism orbit, ordered by encoding.
+
+    The representative of an orbit is its member with the least
+    row-major encoding.
+    """
+    n = order.n
+    autos = order_automorphisms(order)
+    reps = {
+        min(_encode_relabeled_mul(tab, perm) for perm in autos)
+        for tab in _mult_tables(order)
+    }
+    return [
+        tuple(tuple(key[i * n : (i + 1) * n]) for i in range(n)) for key in sorted(reps)
+    ]
+
+
+def _lattice(order: OrderTable, mul: Table, idx: int) -> FiniteMultLattice:
+    return FiniteMultLattice.from_tables(
+        order.up,
+        mul,
+        order.bottom,
+        order.top,
+        labels=default_labels(order.n, order.bottom, order.top),
+        name=f"{order.name}_{idx}",
+    )
 
 
 def enumerate_multiplications(order: OrderTable) -> list[FiniteMultLattice]:
@@ -378,26 +444,7 @@ def enumerate_multiplications(order: OrderTable) -> list[FiniteMultLattice]:
     one representative per orbit is returned, in deterministic order,
     each re-validated through the standard construction path.
     """
-    n = order.n
-    autos = order_automorphisms(order)
-    reps: dict[bytes, tuple[tuple[int, ...], ...]] = {}
-    for tab in _mult_tables(order):
-        images = [_permute_mul(tab, p, n) for p in autos]
-        canon_tab = min(images, key=lambda m: _encode_mul(m, n))
-        reps.setdefault(_encode_mul(canon_tab, n), canon_tab)
-    out = []
-    for idx, key in enumerate(sorted(reps)):
-        out.append(
-            FiniteMultLattice.from_tables(
-                order.up,
-                reps[key],
-                order.bottom,
-                order.top,
-                labels=default_labels(n, order.bottom, order.top),
-                name=f"{order.name}_{idx}",
-            )
-        )
-    return out
+    return [_lattice(order, tab, idx) for idx, tab in enumerate(_mult_reps(order))]
 
 
 # -- the universe and searches ----------------------------------------------
@@ -405,50 +452,20 @@ def enumerate_multiplications(order: OrderTable) -> list[FiniteMultLattice]:
 _UNIVERSE_CACHE: dict[int, tuple[FiniteMultLattice, ...]] = {}
 
 
-def _mult_worker(
-    args: tuple[str, int, tuple[int, ...]]
-) -> list[tuple[tuple[int, ...], ...]]:
-    name, n, up = args
-    join, meet, missing = order_tables(up, n)
-    assert missing is None
-    order = OrderTable(
-        name=name, n=n, up=up, join=join, meet=meet, bottom=0, top=n - 1
-    )
-    autos = order_automorphisms(order)
-    reps: dict[bytes, tuple[tuple[int, ...], ...]] = {}
-    for tab in _mult_tables(order):
-        canon_tab = min(
-            (_permute_mul(tab, p, n) for p in autos),
-            key=lambda m: _encode_mul(m, n),
-        )
-        reps.setdefault(_encode_mul(canon_tab, n), canon_tab)
-    return [reps[k] for k in sorted(reps)]
-
-
 def _lattices_of_size(n: int, workers: int = 1) -> tuple[FiniteMultLattice, ...]:
     if n in _UNIVERSE_CACHE:
         return _UNIVERSE_CACHE[n]
     orders = enumerate_bounded_lattices(n, size_cap=HARD_SIZE_CAP)
-    jobs = [(o.name, o.n, o.up) for o in orders]
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(orders) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_order = list(pool.map(_mult_worker, jobs))
+            per_order = list(pool.map(_mult_reps, orders))
     else:
-        per_order = [_mult_worker(j) for j in jobs]
-    out = []
-    for order, tabs in zip(orders, per_order):
-        for idx, tab in enumerate(tabs):
-            out.append(
-                FiniteMultLattice.from_tables(
-                    order.up,
-                    tab,
-                    order.bottom,
-                    order.top,
-                    labels=default_labels(order.n, order.bottom, order.top),
-                    name=f"{order.name}_{idx}",
-                )
-            )
-    _UNIVERSE_CACHE[n] = tuple(out)
+        per_order = [_mult_reps(order) for order in orders]
+    _UNIVERSE_CACHE[n] = tuple(
+        _lattice(order, tab, idx)
+        for order, tabs in zip(orders, per_order)
+        for idx, tab in enumerate(tabs)
+    )
     return _UNIVERSE_CACHE[n]
 
 
@@ -514,6 +531,15 @@ _FLAG_ATOMS: dict[str, Callable[[FiniteMultLattice, ClassificationReport], bool]
 }
 
 
+def _dimension_bound(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UnknownPredicate(
+            f"unknown predicate {name!r} (dimension {text!r} is not an integer)"
+        ) from None
+
+
 def _compile_predicate(
     name: str,
 ) -> Callable[[FiniteMultLattice, ClassificationReport], bool]:
@@ -538,10 +564,10 @@ def _compile_predicate(
         if negate:
             atom = atom[1:]
         if atom.startswith("dim>="):
-            k = int(atom[5:])
+            k = _dimension_bound(name, atom[5:])
             fn: Callable = lambda L, r, k=k: r.dimension >= k
         elif atom.startswith("dim="):
-            k = int(atom[4:])
+            k = _dimension_bound(name, atom[4:])
             fn = lambda L, r, k=k: r.dimension == k
         elif atom in _FLAG_ATOMS:
             fn = _FLAG_ATOMS[atom]

@@ -175,3 +175,23 @@ def axioms_hold(L: FiniteMultLattice) -> bool:
                 if L.mul2(x, L.join2(y, z)) != L.join2(L.mul2(x, y), L.mul2(x, z)):
                     return False
     return True
+
+
+def canonical_form_by_all_relabelings(L: FiniteMultLattice) -> bytes:
+    """Minimum of (n, order matrix, product matrix) over every relabeling.
+
+    A relabeling sends the bottom to 0, the top to n-1 and the other
+    elements to 1..n-2 in any of the (n-2)! ways.
+    """
+    n = L.n
+    mids = [x for x in range(n) if x not in (L.bottom, L.top)]
+    best = None
+    for target in itertools.permutations(range(1, n - 1)):
+        pos = {L.bottom: 0, L.top: n - 1, **dict(zip(mids, target))}
+        src = {v: k for k, v in pos.items()}
+        leq = bytes(L.leq(src[i], src[j]) for i in range(n) for j in range(n))
+        mul = bytes(pos[L.mul2(src[i], src[j])] for i in range(n) for j in range(n))
+        cand = bytes([n]) + leq + mul
+        if best is None or cand < best:
+            best = cand
+    return best

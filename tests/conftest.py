@@ -11,6 +11,12 @@ def pytest_addoption(parser):
         default=False,
         help="run the deep checks at size 6 instead of size 5 (slower)",
     )
+    parser.addoption(
+        "--size7",
+        action="store_true",
+        default=False,
+        help="also run the size-7 checks: frozen counts and catalog forms (slower)",
+    )
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +32,13 @@ def universe5():
 @pytest.fixture(scope="session")
 def universe6():
     return enumerated_universe(6)
+
+
+@pytest.fixture(scope="session")
+def universe7(request):
+    if not request.config.getoption("--size7"):
+        pytest.skip("needs --size7")
+    return enumerated_universe(7, size_cap=7)
 
 
 @pytest.fixture(scope="session")

@@ -172,6 +172,19 @@ def test_enumerate_size_cap(capsys):
     assert main(["enumerate", "--size", "3", "--predicate", "bogus"]) == 2
 
 
+def test_enumerate_bad_size_or_predicate_exit_2(capsys):
+    for argv in (
+        ["--size", "0"],
+        ["--size", "-2"],
+        ["--size", "3", "--predicate", "dim>=x"],
+        ["--size", "3", "--predicate", "cq&dim=?"],
+    ):
+        assert main(["enumerate", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), argv
+        assert captured.out == ""
+
+
 def test_enumerate_catalog(tmp_path, capsys):
     out = tmp_path / "cat"
     assert main(["enumerate", "--size", "3", "--out", str(out)]) == 0

@@ -1,6 +1,8 @@
 """Enumeration: order generation, multiplication search, canonical forms, search."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 
 from bruteforce import (
     axioms_hold,
+    canonical_form_by_all_relabelings,
     count_bounded_lattices,
     count_iso_classes,
     naive_multiplications,
 )
+from comaxlat.cli import main
 from comaxlat.core import LatticeSpec, validate_lattice
 from comaxlat.enumeration import (
     SearchQuery,
@@ -39,6 +43,11 @@ MULT_COUNTS = {
     6: [0, 0, 0, 0, 0, 0, 0, 2, 0, 3, 1, 4, 13, 12, 94],
 }
 TOTALS = {1: 0, 2: 1, 3: 2, 4: 7, 5: 26, 6: 129}
+# Per-order counts at size 7, frozen from the search without associativity
+# pruning; checked under --size7.
+SIZE7_MULT_COUNTS = [0] * 34 + [
+    2, 0, 1, 11, 1, 1, 2, 9, 2, 4, 3, 12, 27, 55, 5, 24, 60, 53, 451
+]
 
 
 def test_bounded_lattice_counts_frozen():
@@ -118,6 +127,46 @@ def test_size7_orders_behind_flag(deep_size):
     if deep_size < 6:
         pytest.skip("needs --size6")
     assert len(enumerate_bounded_lattices(7, size_cap=7)) == 53
+
+
+def test_size7_counts_frozen(universe7):
+    orders = enumerate_bounded_lattices(7, size_cap=7)
+    assert len(orders) == 53
+    per_order = Counter(L.name.rsplit("_", 1)[0] for L in universe7 if L.n == 7)
+    assert [per_order[o.name] for o in orders] == SIZE7_MULT_COUNTS
+    assert sum(SIZE7_MULT_COUNTS) == 723
+
+
+def _catalog_matches_fresh_canonical_forms(universe, size, tmp_path):
+    argv = ["enumerate", "--size", str(size), "--out", str(tmp_path)]
+    assert main(argv + (["--allow-size-7"] if size > 6 else [])) == 0
+    canon = {}
+    for line in (tmp_path / "index.txt").read_text().splitlines():
+        name, _, field = line.split()[:3]
+        canon[name] = bytes.fromhex(field.removeprefix("canon="))
+    assert sorted(canon) == sorted(L.name for L in universe)
+    rng = random.Random(size)
+    for L in universe:
+        spec = L.to_spec()
+        shuffled = list(spec.elements)
+        rng.shuffle(shuffled)
+        relabeled = validate_lattice(
+            LatticeSpec(
+                spec.name, tuple(shuffled), spec.order_pairs, spec.mul_entries
+            )
+        )
+        assert canonical_form(relabeled) == canon[L.name], L.name
+        assert canonical_form_by_all_relabelings(L) == canon[L.name], L.name
+
+
+def test_catalog_canon_matches_fresh_canonical_form(universe6, tmp_path, capsys):
+    _catalog_matches_fresh_canonical_forms(universe6, 6, tmp_path)
+
+
+def test_size7_catalog_canon_matches_fresh_canonical_form(
+    universe7, tmp_path, capsys
+):
+    _catalog_matches_fresh_canonical_forms(universe7, 7, tmp_path)
 
 
 def test_universe_is_deterministic_and_cached(universe5):
