@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .core import InvalidSpec, ValidationError
 from .enumeration import (
-    DEFAULT_SIZE_CAP,
-    HARD_SIZE_CAP,
+    SearchQuery,
     SizeCapExceeded,
     UnknownPredicate,
-    _compile_predicate,
     canonical_form,
-    enumerated_universe,
+    enumerated_universe,  # unused here; perfbench/tracing.py wraps it by name
+    search,
 )
 from .factorize import (
     FactorKind,
@@ -137,20 +137,15 @@ def cmd_enumerate(args) -> int:
     if args.size < 1:
         print(f"error: size must be at least 1, got {args.size}", file=sys.stderr)
         return 2
-    cap = HARD_SIZE_CAP if args.allow_size_7 else DEFAULT_SIZE_CAP
     if args.allow_size_7 and args.size >= 7:
         print("warning: size-7 enumeration may take a while", file=sys.stderr)
-    pred = _compile_predicate(args.predicate) if args.predicate else None
-    universe = enumerated_universe(args.size, size_cap=cap, workers=args.workers)
-    selected = []
-    per_size: dict[int, int] = {}
-    for L in universe:
-        rep = classify_lattice(L)
-        if pred is None or pred(L, rep):
-            selected.append((L, rep))
-            per_size[L.n] = per_size.get(L.n, 0) + 1
+    query = SearchQuery(
+        args.size, args.predicate or None, allow_size_7=args.allow_size_7
+    )
+    selected = search(query, workers=args.workers)
+    per_size = Counter(L.n for L, _ in selected)
     for n in range(1, args.size + 1):
-        print(f"size={n} lattices={per_size.get(n, 0)}")
+        print(f"size={n} lattices={per_size[n]}")
     if args.predicate:
         print(f"predicate={args.predicate} matches={len(selected)}")
     print(f"total={len(selected)}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 Elt = int  # index of an element within its parent lattice
 
@@ -143,6 +143,25 @@ class LatticeProfile:
     generated_by_principal: bool
 
 
+def _mask(xs: Iterable[int]) -> int:
+    """Bitmask with bit ``x`` set for every ``x`` in ``xs``."""
+    m = 0
+    for x in xs:
+        m |= 1 << x
+    return m
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The elements whose bits are set in ``mask``, in index order."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def down_masks(up: tuple[int, ...]) -> tuple[int, ...]:
+    """Down-set masks of an order given by its up-set masks."""
+    n = len(up)
+    return tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
+
+
 def _closure(up: list[int], n: int) -> None:
     """Reflexive-transitive closure of up-set masks, in place."""
     for i in range(n):
@@ -177,9 +196,7 @@ def order_tables(
     Returns ``(join, meet, None)`` on success, or ``(None, None, (i, j))``
     with a witness pair (as indices) when some bound is missing.
     """
-    down = tuple(
-        sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
-    )
+    down = down_masks(up)
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -261,8 +278,9 @@ class FiniteMultLattice:
     power chains, element predicates) is precomputed at construction.
     Set-valued results are returned as tuples sorted by element index.
 
-    Construct through :func:`validate_lattice` or :meth:`from_tables`,
-    both of which check every axiom first.
+    Construct through :meth:`from_tables`, which checks every axiom
+    first; :func:`validate_lattice` lowers a :class:`LatticeSpec` to
+    tables and calls it.
     """
 
     def __init__(
@@ -283,10 +301,7 @@ class FiniteMultLattice:
         self.bottom = bottom
         self.top = top
         self._up = up
-        self._down = tuple(
-            sum(1 << i for i in range(self.n) if up[i] >> j & 1)
-            for j in range(self.n)
-        )
+        self._down = down_masks(up)
         self._join = join
         self._meet = meet
         self._mul = mul
@@ -299,13 +314,20 @@ class FiniteMultLattice:
     def from_tables(
         cls,
         up: tuple[int, ...],
-        mul: tuple[tuple[int, ...], ...],
+        mul: Sequence[Sequence[Optional[int]]],
         bottom: int,
         top: int,
         labels: Optional[tuple[str, ...]] = None,
         name: str = "",
     ) -> "FiniteMultLattice":
-        """Build and fully validate a lattice from raw order/product tables."""
+        """Build and fully validate a lattice from raw order/product tables.
+
+        ``up[i]`` masks elements above ``i``; the reflexive-transitive
+        closure is taken.  ``mul`` is the symmetric product table.  A
+        ``None`` cell with the bottom or top is filled in as the axioms
+        force; any other ``None`` cell is reported as ``MissingProduct``,
+        after the order checks.
+        """
         n = len(up)
         if labels is None:
             labels = default_labels(n, bottom, top)
@@ -322,12 +344,28 @@ class FiniteMultLattice:
             raise ValidationError(
                 [Violation("NotALattice", (labels[i], labels[j]), "missing bound")]
             )
-        viols = multiplication_violations(labels, join, [list(r) for r in mul], bottom, top)
+        table = [list(row) for row in mul]
+        for x in range(n):  # x*1 = x and x*0 = 0 are forced
+            for y, v in ((top, x), (bottom, bottom)):
+                if table[x][y] is None:
+                    table[x][y] = table[y][x] = v
+        missing = [
+            Violation("MissingProduct", mul_key(labels[i], labels[j]))
+            for i, j in itertools.combinations_with_replacement(range(n), 2)
+            if table[i][j] is None
+        ]
+        if missing:
+            raise ValidationError(missing)
+        viols = multiplication_violations(labels, join, table, bottom, top)
         if viols:
             raise ValidationError(viols)
+        mul = tuple(map(tuple, table))
         return cls(name, labels, tuple(closed), join, meet, mul, bottom, top)
 
     def _build_caches(self) -> None:
+        # Keep fewer than 30 instance attributes in all: from 30 on, CPython
+        # 3.11 stops sharing instance-dict keys between lattices, and every
+        # attribute lookup in the methods below gets about 1.5x slower.
         n = self.n
         mul = self._mul
         join = self._join
@@ -372,22 +410,20 @@ class FiniteMultLattice:
         self._powers = tuple(chains)
 
         self._primes = tuple(p for p in range(n) if p != top and self._prime_scan(p))
-        self._maximal = tuple(
-            i
-            for i in range(n)
-            if i != top and up[i] & ~(1 << i) == 1 << top
+        self._prime_mask = _mask(self._primes)
+        self._maximal_mask = _mask(
+            i for i in range(n) if i != top and up[i] & ~(1 << i) == 1 << top
         )
         # Every proper element lies below some maximal element.
         for x in range(n):
             if x != top:
-                assert any(self.leq(x, m) for m in self._maximal)
+                assert up[x] & self._maximal_mask
         assert self._primes, "the spectrum of a finite lattice is nonempty"
 
-        prime_mask = sum(1 << p for p in self._primes)
         rad = []
         for a in range(n):
             m = self.top
-            ps = prime_mask & up[a]
+            ps = self._prime_mask & up[a]
             while ps:
                 p = (ps & -ps).bit_length() - 1
                 m = meet[m][p]
@@ -407,7 +443,9 @@ class FiniteMultLattice:
             for a in range(n)
         )
 
-        self._primary = tuple(q for q in range(n) if q != top and self._primary_scan(q))
+        self._primary_mask = _mask(
+            q for q in range(n) if q != top and self._primary_scan(q)
+        )
 
         pp: list[Optional[tuple[int, int]]] = [None] * n
         for p in self._primes:
@@ -416,13 +454,10 @@ class FiniteMultLattice:
                     pp[v] = (p, k)
         self._prime_power = tuple(pp)
 
-        self._meet_principal = tuple(m for m in range(n) if self._mp_scan(m))
-        self._weak_meet_principal = tuple(m for m in range(n) if self._wmp_scan(m))
-        self._join_principal = tuple(j for j in range(n) if self._jp_scan(j))
-        self._weak_join_principal = tuple(j for j in range(n) if self._wjp_scan(j))
-        mp = set(self._meet_principal)
-        jp = set(self._join_principal)
-        self._principal = tuple(x for x in range(n) if x in mp and x in jp)
+        self._mp_mask = _mask(m for m in range(n) if self._mp_scan(m))
+        self._wmp_mask = _mask(m for m in range(n) if self._wmp_scan(m))
+        self._jp_mask = _mask(j for j in range(n) if self._jp_scan(j))
+        self._wjp_mask = _mask(j for j in range(n) if self._wjp_scan(j))
 
         # dimension: longest strict chain (edge count) in the prime poset
         height: dict[int, int] = {}
@@ -433,12 +468,10 @@ class FiniteMultLattice:
             )
         self._dimension = max(height.values())
 
-        gbp = all(
-            self.join(p for p in self._principal if self.leq(p, x)) == x
-            for x in range(n)
-        )
+        principal = self._mp_mask & self._jp_mask
+        gbp = all(self.join(_members(principal & down[x])) == x for x in range(n))
         self._profile = LatticeProfile(
-            is_domain=bottom in set(self._primes),
+            is_domain=bool(self._prime_mask >> bottom & 1),
             is_treed=all(
                 self.comaximal(p, q)
                 for p, q in itertools.combinations(self._primes, 2)
@@ -577,7 +610,7 @@ class FiniteMultLattice:
 
     def max_elements(self) -> tuple[Elt, ...]:
         """All maximal proper elements, sorted by index."""
-        return self._maximal
+        return _members(self._maximal_mask)
 
     def min_primes(self, a: Elt) -> tuple[Elt, ...]:
         """Minimal primes above ``a``; empty for the top element."""
@@ -588,10 +621,10 @@ class FiniteMultLattice:
         return self._dimension
 
     def is_prime(self, x: Elt) -> bool:
-        return x in set(self._primes)
+        return bool(self._prime_mask >> x & 1)
 
     def is_primary(self, x: Elt) -> bool:
-        return x in set(self._primary)
+        return bool(self._primary_mask >> x & 1)
 
     def is_radical_element(self, x: Elt) -> bool:
         return self._radical[x] == x
@@ -600,10 +633,10 @@ class FiniteMultLattice:
         return self._prime_power[x]
 
     def principal_elements(self) -> tuple[Elt, ...]:
-        return self._principal
+        return _members(self._mp_mask & self._jp_mask)
 
     def join_principal_elements(self) -> tuple[Elt, ...]:
-        return self._join_principal
+        return _members(self._jp_mask)
 
     def join_irreducibles(self) -> tuple[Elt, ...]:
         """Elements with exactly one lower cover.
@@ -628,20 +661,22 @@ class FiniteMultLattice:
 
     def element_profile(self, x: Elt) -> ElementProfile:
         witness = self._prime_power[x]
+        mp = bool(self._mp_mask >> x & 1)
+        jp = bool(self._jp_mask >> x & 1)
         return ElementProfile(
             is_proper=x != self.top,
-            is_prime=x in set(self._primes),
-            is_maximal=x in set(self._maximal),
-            is_primary=x in set(self._primary),
+            is_prime=bool(self._prime_mask >> x & 1),
+            is_maximal=bool(self._maximal_mask >> x & 1),
+            is_primary=bool(self._primary_mask >> x & 1),
             is_radical=self._radical[x] == x,
             is_prime_power=witness is not None,
             prime_power_witness=witness,
             is_compact=True,
-            is_meet_principal=x in set(self._meet_principal),
-            is_weak_meet_principal=x in set(self._weak_meet_principal),
-            is_join_principal=x in set(self._join_principal),
-            is_weak_join_principal=x in set(self._weak_join_principal),
-            is_principal=x in set(self._principal),
+            is_meet_principal=mp,
+            is_weak_meet_principal=bool(self._wmp_mask >> x & 1),
+            is_join_principal=jp,
+            is_weak_join_principal=bool(self._wjp_mask >> x & 1),
+            is_principal=mp and jp,
         )
 
     def lattice_profile(self) -> LatticeProfile:
@@ -776,49 +811,13 @@ def validate_lattice(spec: LatticeSpec) -> FiniteMultLattice:
         if mul_key(x, y) != (x, y):
             raise InvalidSpec(f"product key ({x!r}, {y!r}) is not normalized")
 
-    bottom, top = index[spec.bottom], index[spec.top]
-    if bottom == top:
-        raise ValidationError([Violation("BottomEqualsTop", (spec.bottom,))])
-
     up = [0] * n
     for x, y in spec.order_pairs:
         up[index[x]] |= 1 << index[y]
-    _closure(up, n)
-    up_t = tuple(up)
-
-    viols = _order_violations(up_t, n, bottom, top, labels)
-    if viols:
-        raise ValidationError(viols)
-
-    join, meet, missing = order_tables(up_t, n)
-    if missing is not None:
-        i, j = missing
-        raise ValidationError(
-            [Violation("NotALattice", (labels[i], labels[j]), "missing bound")]
-        )
-
-    mul = [[-1] * n for _ in range(n)]
-    missing_products: list[Violation] = []
-    for i in range(n):
-        for j in range(i, n):
-            key = mul_key(labels[i], labels[j])
-            if key in spec.mul_entries:
-                v = index[spec.mul_entries[key]]
-            elif bottom in (i, j):
-                v = bottom
-            elif top in (i, j):
-                v = i if j == top else j
-            else:
-                missing_products.append(Violation("MissingProduct", key))
-                continue
-            mul[i][j] = mul[j][i] = v
-    if missing_products:
-        raise ValidationError(missing_products)
-
-    viols = multiplication_violations(labels, join, mul, bottom, top)
-    if viols:
-        raise ValidationError(viols)
-
-    return FiniteMultLattice(
-        spec.name, labels, up_t, join, meet, tuple(map(tuple, mul)), bottom, top
+    mul: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    for (x, y), v in spec.mul_entries.items():
+        mul[index[x]][index[y]] = mul[index[y]][index[x]] = index[v]
+    bottom, top = index[spec.bottom], index[spec.top]
+    return FiniteMultLattice.from_tables(
+        tuple(up), mul, bottom, top, labels=labels, name=spec.name
     )

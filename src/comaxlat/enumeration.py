@@ -48,6 +48,7 @@ from .core import (
     FiniteMultLattice,
     LatticeError,
     default_labels,
+    down_masks,
     multiplication_violations,
     order_tables,
 )
@@ -116,11 +117,6 @@ def _encode_relabeled_mul(mul: Table, perm: tuple[int, ...]) -> bytes:
     """Row-major bytes of the product table after relabeling ``i`` as ``perm[i]``."""
     src = sorted(range(len(perm)), key=perm.__getitem__)
     return bytes(perm[mul[a][b]] for a in src for b in src)
-
-
-def _down_masks(up: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(up)
-    return tuple(sum(1 << i for i in range(n) if up[i] >> x & 1) for x in range(n))
 
 
 def _middle_perms(n: int) -> list[tuple[int, ...]]:
@@ -306,7 +302,7 @@ def _mult_tables(order: OrderTable) -> list[Table]:
     if n == 1 or B == T:
         return []  # a one-element structure collapses bottom and top
     join, meet, up = order.join, order.meet, order.up
-    down = _down_masks(up)
+    down = down_masks(up)
     mids = [i for i in range(n) if i not in (B, T)]
 
     covers = {}
@@ -457,7 +453,7 @@ def _lattices_of_size(n: int, workers: int = 1) -> tuple[FiniteMultLattice, ...]
         return _UNIVERSE_CACHE[n]
     orders = enumerate_bounded_lattices(n, size_cap=HARD_SIZE_CAP)
     if workers > 1 and len(orders) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(orders))) as pool:
             per_order = list(pool.map(_mult_reps, orders))
     else:
         per_order = [_mult_reps(order) for order in orders]
@@ -508,15 +504,10 @@ def _thm15_nontrivial(L: FiniteMultLattice, rep: ClassificationReport) -> bool:
     )
 
 
+# Named predicates that the generic rules below do not already express.
 PREDICATES: dict[str, Callable[[FiniteMultLattice, ClassificationReport], bool]] = {
-    "cpr_not_cq": lambda L, r: r.is_cpr_lattice and not r.is_cq_lattice,
-    "cpr_not_cpp": lambda L, r: r.is_cpr_lattice and not r.is_cpp_lattice,
-    "cq_not_cpp": lambda L, r: r.is_cq_lattice and not r.is_cpp_lattice,
-    "cpp_not_cq": lambda L, r: r.is_cpp_lattice and not r.is_cq_lattice,
     "not_cpr": lambda L, r: not r.is_cpr_lattice,
-    "treed_not_cpr": lambda L, r: r.is_treed and not r.is_cpr_lattice,
     "cq_dim_ge_2": lambda L, r: r.is_cq_lattice and r.dimension >= 2,
-    "dedekind": lambda L, r: r.is_dedekind,
     "thm15_hypothesis_nontrivial": _thm15_nontrivial,
 }
 
@@ -579,10 +570,13 @@ def _compile_predicate(
 
 @dataclass(frozen=True)
 class SearchQuery:
-    """A scan of the enumerated universe for lattices matching a predicate."""
+    """A scan of the enumerated universe for lattices matching a predicate.
+
+    A ``None`` predicate matches every lattice.
+    """
 
     size_max: int
-    predicate: str
+    predicate: Optional[str]
     limit: Optional[int] = None
     allow_size_7: bool = False
 
@@ -592,11 +586,11 @@ def search(
 ) -> list[tuple[FiniteMultLattice, ClassificationReport]]:
     """Matching lattices with their classification reports, deterministic order."""
     cap = HARD_SIZE_CAP if query.allow_size_7 else DEFAULT_SIZE_CAP
-    pred = _compile_predicate(query.predicate)
+    pred = None if query.predicate is None else _compile_predicate(query.predicate)
     out = []
     for L in enumerated_universe(query.size_max, size_cap=cap, workers=workers):
         rep = classify_lattice(L)
-        if pred(L, rep):
+        if pred is None or pred(L, rep):
             out.append((L, rep))
             if query.limit is not None and len(out) >= query.limit:
                 break

@@ -236,6 +236,26 @@ def oracle_factorizations(
     return out
 
 
+def _factor_kinds(L: FiniteMultLattice) -> dict[FactorKind, int]:
+    """For each kind, the bitmask of proper elements factoring with it.
+
+    One prime-radical lift per element: a primary or prime-power
+    factorization is also the prime-radical one (see :func:`factor`), so
+    the stronger kinds are decided on the lifted factors.
+    """
+    kinds = tuple(FactorKind)
+    masks = [0] * len(kinds)
+    for a in L.proper_elements():
+        try:
+            factors = factor(L, a, FactorKind.CPR).factors
+        except NoFactorization:
+            continue
+        for i, kind in enumerate(kinds):
+            if not any(_kind_failure(L, f, kind) for f in factors):
+                masks[i] |= 1 << a
+    return dict(zip(kinds, masks))
+
+
 def classify_lattice(L: FiniteMultLattice) -> ClassificationReport:
     """Classify a lattice by which factorization kinds all elements admit.
 
@@ -245,19 +265,20 @@ def classify_lattice(L: FiniteMultLattice) -> ClassificationReport:
     spectrum plus the top element is everything).  The failed
     hypothesis is reported as the witness.
     """
-    witnesses: dict[FactorKind, Optional[str]] = {}
-    flags: dict[FactorKind, bool] = {}
-    for kind in FactorKind:
-        witnesses[kind] = None
-        flags[kind] = True
-        for a in L.proper_elements():
-            try:
-                factor(L, a, kind)
-            except NoFactorization:
-                flags[kind] = False
-                witnesses[kind] = L.label(a)
-                break
+    return _classify(L, _factor_kinds(L))
 
+
+def _classify(
+    L: FiniteMultLattice, kinds: dict[FactorKind, int]
+) -> ClassificationReport:
+    """:func:`classify_lattice` from the table of :func:`_factor_kinds`."""
+    proper = (1 << L.n) - 1 & ~(1 << L.top)
+    witnesses: dict[FactorKind, Optional[str]] = {}
+    for kind, mask in kinds.items():
+        lacking = proper & ~mask
+        # the witness is the least element lacking the kind
+        least = (lacking & -lacking).bit_length() - 1
+        witnesses[kind] = L.label(least) if lacking else None
     profile = L.lattice_profile()
     dedekind = True
     dedekind_witness = None
@@ -285,9 +306,9 @@ def classify_lattice(L: FiniteMultLattice) -> ClassificationReport:
         is_domain=profile.is_domain,
         is_treed=profile.is_treed,
         dimension=L.dimension(),
-        is_cpr_lattice=flags[FactorKind.CPR],
-        is_cq_lattice=flags[FactorKind.CQ],
-        is_cpp_lattice=flags[FactorKind.CPP],
+        is_cpr_lattice=witnesses[FactorKind.CPR] is None,
+        is_cq_lattice=witnesses[FactorKind.CQ] is None,
+        is_cpp_lattice=witnesses[FactorKind.CPP] is None,
         is_dedekind=dedekind,
         cpr_witness=witnesses[FactorKind.CPR],
         cq_witness=witnesses[FactorKind.CQ],

@@ -47,6 +47,8 @@ def parse_lattice_file(text: str) -> LatticeSpec:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     keys = set(doc)
@@ -143,5 +145,8 @@ def serialize_spec(spec: LatticeSpec) -> str:
 
 def load_lattice(path: Union[str, Path]) -> FiniteMultLattice:
     """Parse and validate a lattice file from disk."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not a UTF-8 file: {exc}") from None
     return validate_lattice(parse_lattice_file(text))

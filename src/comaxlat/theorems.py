@@ -27,11 +27,13 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .core import Elt, FiniteMultLattice, LatticeError
+from .enumeration import quotient_hypothesis_holds
 from .factorize import (
     FactorKind,
-    NoFactorization,
-    classify_lattice,
-    factor,
+    _classify,
+    _factor_kinds,
+    classify_lattice,  # unused here; perfbench/tracing.py wraps it by name
+    factor,  # unused here; perfbench/tracing.py wraps it by name
     oracle_factorizations,
     refine_by_radical,
 )
@@ -117,24 +119,32 @@ class _Ctx:
         self.gens = gens
 
     @cached_property
+    def kinds(self) -> dict[FactorKind, int]:
+        """For each kind, the bitmask of proper elements factoring with it."""
+        return _factor_kinds(self.L)
+
+    def admits(self, a: Elt, kind: FactorKind) -> bool:
+        """Whether the proper element ``a`` factors with the given kind."""
+        return bool(self.kinds[kind] >> a & 1)
+
+    @cached_property
     def classification(self):
-        return classify_lattice(self.L)
+        return _classify(self.L, self.kinds)
 
     @cached_property
     def profile(self):
         return self.L.lattice_profile()
 
     @cached_property
-    def has_kind(self) -> dict[tuple[Elt, FactorKind], bool]:
-        out = {}
-        for a in self.L.proper_elements():
-            for kind in FactorKind:
-                try:
-                    factor(self.L, a, kind)
-                    out[a, kind] = True
-                except NoFactorization:
-                    out[a, kind] = False
-        return out
+    def gen_products_admit(self) -> frozenset[FactorKind]:
+        """The kinds every product of two proper generators admits."""
+        L = self.L
+        products = 0
+        for g in self.gens:
+            for h in self.gens:
+                if g != L.top and h != L.top:
+                    products |= 1 << L.mul2(g, h)
+        return frozenset(k for k, mask in self.kinds.items() if not products & ~mask)
 
     def generates(self, gens: tuple[Elt, ...]) -> bool:
         L = self.L
@@ -303,11 +313,9 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
         )
         if len(found) > 1 or (len(found) == 1) != comax:
             return True, False, (a,)
-        if ctx.has_kind[a, FactorKind.CPR] != comax:
+        if ctx.admits(a, FactorKind.CPR) != comax:
             return True, False, (a,)
-    all_factor = all(
-        ctx.has_kind[a, FactorKind.CPR] for a in L.proper_elements()
-    )
+    all_factor = all(ctx.admits(a, FactorKind.CPR) for a in L.proper_elements())
     if all_factor != ctx.profile.is_treed:
         return True, False, None
     return True, True, None
@@ -321,15 +329,13 @@ def _cor_closure(ctx: _Ctx) -> _Result:
     if not ctx.profile.is_treed:
         return False, None, None
     for x, y in itertools.combinations_with_replacement(L.proper_elements(), 2):
-        if not (
-            ctx.has_kind[x, FactorKind.CPR] and ctx.has_kind[y, FactorKind.CPR]
-        ):
+        if not (ctx.admits(x, FactorKind.CPR) and ctx.admits(y, FactorKind.CPR)):
             continue
         allowed = set(L.min_primes(x)) | set(L.min_primes(y))
         for combo in (L.mul2(x, y), L.meet2(x, y), L.join2(x, y)):
             if not set(L.min_primes(combo)) <= allowed:
                 return True, False, (x, y, combo)
-            if combo != L.top and not ctx.has_kind[combo, FactorKind.CPR]:
+            if combo != L.top and not ctx.admits(combo, FactorKind.CPR):
                 return True, False, (x, y, combo)
     return True, True, None
 
@@ -338,13 +344,7 @@ def _thm_treed_from_generators(ctx: _Ctx) -> _Result:
     """If all pairwise products of generators factor with prime radicals,
     the lattice is treed."""
     L = ctx.L
-    hyp = ctx.gens_generate and all(
-        ctx.has_kind[L.mul2(g1, g2), FactorKind.CPR]
-        for g1 in ctx.gens
-        for g2 in ctx.gens
-        if g1 != L.top and g2 != L.top
-    )
-    if not hyp:
+    if not (ctx.gens_generate and FactorKind.CPR in ctx.gen_products_admit):
         return False, None, None
     return True, ctx.profile.is_treed, None
 
@@ -359,13 +359,8 @@ def _cor_compact_equivalences(ctx: _Ctx) -> _Result:
     L = ctx.L
     if not ctx.gens_generate:
         return False, None, None
-    c1 = all(ctx.has_kind[k, FactorKind.CPR] for k in L.proper_elements())
-    c2 = all(
-        ctx.has_kind[L.mul2(g1, g2), FactorKind.CPR]
-        for g1 in ctx.gens
-        for g2 in ctx.gens
-        if g1 != L.top and g2 != L.top
-    )
+    c1 = all(ctx.admits(k, FactorKind.CPR) for k in L.proper_elements())
+    c2 = FactorKind.CPR in ctx.gen_products_admit
     c3 = ctx.profile.is_treed and all(
         len(L.min_primes(k)) < L.n + 1 for k in L.elements()
     )
@@ -410,12 +405,7 @@ def _thm_cpr_sufficiency(ctx: _Ctx) -> _Result:
                     ):
                         hyp2 = False
                         break
-    hyp3 = all(
-        ctx.has_kind[L.mul2(g, h), FactorKind.CPR]
-        for g in ctx.gens
-        for h in ctx.gens
-        if g != L.top and h != L.top
-    )
+    hyp3 = FactorKind.CPR in ctx.gen_products_admit
     if not (hyp1 and hyp2 and hyp3):
         return False, None, None
     return True, ctx.classification.is_cpr_lattice, None
@@ -430,9 +420,7 @@ def _thm_cq_characterization(ctx: _Ctx) -> _Result:
         len(oracle_factorizations(L, a, FactorKind.CQ)) == 1
         for a in L.proper_elements()
     )
-    rhs = all(
-        ctx.has_kind[a, FactorKind.CPR] for a in L.proper_elements()
-    ) and all(
+    rhs = all(ctx.admits(a, FactorKind.CPR) for a in L.proper_elements()) and all(
         L.is_primary(a)
         for a in L.proper_elements()
         if L.is_prime(L.radical(a))
@@ -472,21 +460,11 @@ def _thm_cq_generators(ctx: _Ctx) -> _Result:
         ctx.profile.is_domain
         and L.n > 2
         and ctx.gens_generate
-        and all(
-            L.leq(L.quotient(L.mul2(a, b), a), L.radical(b))
-            for a in ctx.gens
-            for b in ctx.gens
-            if a != L.bottom and b != L.bottom
-        )
+        and quotient_hypothesis_holds(L, ctx.gens)
     )
     if not hyp:
         return False, None, None
-    c1 = all(
-        ctx.has_kind[L.mul2(a, b), FactorKind.CQ]
-        for a in ctx.gens
-        for b in ctx.gens
-        if a != L.top and b != L.top
-    )
+    c1 = FactorKind.CQ in ctx.gen_products_admit
     c2 = L.dimension() == 1
     c3 = ctx.classification.is_cq_lattice
     return True, c1 == c2 == c3, None
@@ -517,7 +495,7 @@ def _thm_dedekind(ctx: _Ctx) -> _Result:
         return False, None, None
     lhs = ctx.classification.is_dedekind
     rhs = all(
-        ctx.has_kind[x, FactorKind.CPP]
+        ctx.admits(x, FactorKind.CPP)
         for x in L.principal_elements()
         if x not in (L.bottom, L.top)
     )

@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -88,6 +89,17 @@ def test_parse_errors_exit_2(capsys, tmp_path, preset_file):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    for name, data in (
+        ("latin1.json", b"\xff\xfe{"),  # not UTF-8
+        ("deep.json", b"[" * 100_000),  # nests deeper than the JSON decoder recurses
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), name
+        assert captured.out == ""
 
 
 def test_factor_success_line(capsys, preset_file):
@@ -195,6 +207,29 @@ def test_enumerate_catalog(tmp_path, capsys):
     assert index[0].startswith("U2_0_0 n=2 canon=")
     # catalog entries validate
     assert main(["validate", str(out / "U3_0_1.json")]) == 0
+
+
+# Frozen output of `enumerate --size 6 --out DIR`: stdout, and the sha256
+# over the catalog files sorted by name, each hashed as name then bytes.
+SIZE6_STDOUT = (
+    "size=1 lattices=0\nsize=2 lattices=1\nsize=3 lattices=2\n"
+    "size=4 lattices=7\nsize=5 lattices=26\nsize=6 lattices=129\ntotal=165\n"
+)
+SIZE6_CATALOG_FILES = 166
+SIZE6_CATALOG_SHA256 = "b5d8f510ca3d68aeaa7ad8049acb2b25f80ef4a64bd7c428a3a157d3c8aa4f2a"
+
+
+def test_enumerate_size6_catalog_frozen(tmp_path, capsys):
+    out = tmp_path / "cat"
+    assert main(["enumerate", "--size", "6", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == SIZE6_STDOUT
+    files = sorted(out.iterdir(), key=lambda p: p.name)
+    assert len(files) == SIZE6_CATALOG_FILES
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == SIZE6_CATALOG_SHA256
 
 
 def test_console_entry_point_via_subprocess(tmp_path):

@@ -83,16 +83,19 @@ def test_missing_product_reported_per_pair():
 
 
 def test_order_cycle_rejected():
-    spec = LatticeSpec(
-        name="cyc",
-        elements=("0", "x", "y", "1"),
-        order_pairs=(("0", "x"), ("x", "y"), ("y", "x"), ("y", "1")),
-        mul_entries={mul_key("x", "x"): "x", mul_key("x", "y"): "x",
-                     mul_key("y", "y"): "y"},
-    )
-    with pytest.raises(ValidationError) as exc:
-        validate_lattice(spec)
-    assert exc.value.codes() == {"NotAPartialOrder"}
+    full = {mul_key("x", "x"): "x", mul_key("x", "y"): "x", mul_key("y", "y"): "y"}
+    # the order checks come before the product checks: a cycle with missing
+    # products reports only the cycle
+    for entries in (full, {}):
+        spec = LatticeSpec(
+            name="cyc",
+            elements=("0", "x", "y", "1"),
+            order_pairs=(("0", "x"), ("x", "y"), ("y", "x"), ("y", "1")),
+            mul_entries=entries,
+        )
+        with pytest.raises(ValidationError) as exc:
+            validate_lattice(spec)
+        assert exc.value.codes() == {"NotAPartialOrder"}
 
 
 def test_missing_bound_rejected():
@@ -285,3 +288,9 @@ def test_power_chain():
     assert L1.power(d, 1) == d
     assert L1.label(L1.power(d, 2)) == "b"
     assert L1.power(d, 9) == chain[-1]
+
+
+def test_lattice_keeps_fewer_than_30_attributes():
+    # From 30 instance attributes on, CPython 3.11 stops sharing dict keys
+    # between instances and every attribute lookup on a lattice slows down.
+    assert len(vars(preset("L1"))) < 30

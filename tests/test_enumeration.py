@@ -15,6 +15,7 @@ from bruteforce import (
     count_iso_classes,
     naive_multiplications,
 )
+from comaxlat import enumeration
 from comaxlat.cli import main
 from comaxlat.core import LatticeSpec, validate_lattice
 from comaxlat.enumeration import (
@@ -182,6 +183,30 @@ def test_workers_do_not_change_results(universe5):
     assert [canonical_form(L) for L in par] == [
         canonical_form(L) for L in universe5
     ]
+
+
+def test_worker_pool_is_no_larger_than_the_order_count(monkeypatch, universe5):
+    # a stand-in pool that records its size and maps inline: no process starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(enumeration, "_UNIVERSE_CACHE", {})
+    par = enumerated_universe(5, workers=5000)
+    assert sizes == [BOUNDED_LATTICE_COUNTS[4], BOUNDED_LATTICE_COUNTS[5]]
+    assert [canonical_form(L) for L in par] == [canonical_form(L) for L in universe5]
 
 
 # -- search ------------------------------------------------------------------
