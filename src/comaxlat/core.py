@@ -19,6 +19,7 @@ across concurrent workers; all operations are pure table lookups.
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -375,13 +376,19 @@ class FiniteMultLattice:
         top = self.top
         bottom = self.bottom
 
-        # Derived facts from the axioms, kept as hard assertions.
+        # Derived facts from the axioms, kept as hard assertions.  Checking
+        # monotonicity on the lower covers y of each z suffices: every
+        # y <= z is joined to z by a chain of covers.
         for x in range(n):
+            row, meet_row = mul[x], meet[x]
             for y in range(n):
-                assert self.leq(mul[x][y], meet[x][y]), "product must lie below the meet"
-                for z in range(n):
-                    if self.leq(y, z):
-                        assert self.leq(mul[x][y], mul[x][z]), "product must be monotone"
+                assert down[meet_row[y]] >> row[y] & 1, "product must lie below the meet"
+        for z in range(n):
+            below = down[z] & ~(1 << z)
+            for y in _members(below):
+                if up[y] & below == 1 << y:  # y is a lower cover of z
+                    for x in range(n):
+                        assert down[mul[x][z]] >> mul[x][y] & 1, "product must be monotone"
 
         # quotient table: quot[y][x] = largest a with a*x <= y
         quot = [[bottom] * n for _ in range(n)]
@@ -733,8 +740,15 @@ class FiniteMultLattice:
 
 
 def default_labels(n: int, bottom: int, top: int) -> tuple[str, ...]:
-    """Standard labels: '0' for bottom, '1' for top, letters in between."""
-    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    """Standard labels: '0' for bottom, '1' for top, letters in between.
+
+    Past ``z`` the letters continue as ``aa, ab, ..., zz, aaa, ...``.
+    """
+    letters = (
+        "".join(word)
+        for size in itertools.count(1)
+        for word in itertools.product(string.ascii_lowercase, repeat=size)
+    )
     out = []
     for i in range(n):
         if i == bottom:

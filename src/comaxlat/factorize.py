@@ -18,9 +18,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
-from .core import Elt, FiniteMultLattice, LatticeError
+from .core import Elt, FiniteMultLattice, LatticeError, _mask
 
 __all__ = [
     "FactorKind",
@@ -31,6 +31,7 @@ __all__ = [
     "NoFactorization",
     "refine_by_radical",
     "factor",
+    "comaximal_sets",
     "oracle_factorizations",
     "classify_lattice",
 ]
@@ -204,16 +205,53 @@ def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
     return Factorization(kind=kind, target=a, factors=tuple(sorted(factors)))
 
 
+def comaximal_sets(
+    L: FiniteMultLattice, candidates: Sequence[Elt]
+) -> Iterator[tuple[Elt, ...]]:
+    """Every nonempty pairwise comaximal set drawn from ``candidates``.
+
+    The sets are the cliques of the comaximality graph on the
+    candidates, walked level by level: a set is only ever extended by a
+    later candidate that is comaximal to every member already chosen,
+    so the cost is bounded by the number of such sets, not by the
+    ``2**len(candidates)`` subsets.  Sets come by size, then in
+    lexicographic order of candidate positions, exactly as filtering
+    ``itertools.combinations`` by pairwise comaximality would list
+    them; each pair ``(p, q)`` is tested as ``L.comaximal(p, q)`` with
+    ``p`` before ``q`` in ``candidates``.
+    """
+    m = len(candidates)
+    # later[i]: positions j > i whose candidate is comaximal to the i-th
+    later = [
+        _mask(
+            j for j in range(i + 1, m) if L.comaximal(candidates[i], candidates[j])
+        )
+        for i in range(m)
+    ]
+    # each level holds (positions, positions that may extend the set)
+    level = [((i,), later[i]) for i in range(m)]
+    while level:
+        nxt = []
+        for positions, ext in level:
+            yield tuple(candidates[i] for i in positions)
+            while ext:
+                j = (ext & -ext).bit_length() - 1
+                nxt.append((positions + (j,), ext & later[j]))
+                ext &= ext - 1
+        level = nxt
+
+
 def oracle_factorizations(
     L: FiniteMultLattice, a: Elt, kind: FactorKind
 ) -> list[Factorization]:
     """Brute-force scan for every factorization of ``a`` of the given kind.
 
-    Enumerates all subsets of proper elements that are pairwise
-    comaximal, multiply to ``a`` and satisfy the kind's factor
-    condition (pairwise comaximal elements are necessarily distinct, so
-    subsets suffice).  Results come in deterministic order: by size,
-    then by the sorted factor tuple.  Independent of :func:`factor`.
+    Scans every pairwise comaximal set of proper elements satisfying
+    the kind's factor condition (:func:`comaximal_sets`) and keeps
+    those that multiply to ``a`` (pairwise comaximal elements are
+    necessarily distinct, so sets suffice).  Results come in
+    deterministic order: by size, then by the sorted factor tuple.
+    Independent of :func:`factor`.
     """
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
@@ -226,14 +264,11 @@ def oracle_factorizations(
         return L.prime_power_witness(f) is not None
 
     candidates = [f for f in L.proper_elements() if condition(f)]
-    out = []
-    for size in range(1, len(candidates) + 1):
-        for subset in itertools.combinations(candidates, size):
-            if all(
-                L.comaximal(p, q) for p, q in itertools.combinations(subset, 2)
-            ) and L.mul(subset) == a:
-                out.append(Factorization(kind=kind, target=a, factors=subset))
-    return out
+    return [
+        Factorization(kind=kind, target=a, factors=subset)
+        for subset in comaximal_sets(L, candidates)
+        if L.mul(subset) == a
+    ]
 
 
 def _factor_kinds(L: FiniteMultLattice) -> dict[FactorKind, int]:

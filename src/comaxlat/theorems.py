@@ -33,6 +33,7 @@ from .factorize import (
     _classify,
     _factor_kinds,
     classify_lattice,  # unused here; perfbench/tracing.py wraps it by name
+    comaximal_sets,
     factor,  # unused here; perfbench/tracing.py wraps it by name
     oracle_factorizations,
     refine_by_radical,
@@ -185,7 +186,10 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     comaximal is invariant under radicals and under powers (some pair of
     powers works iff all do); (iii) an element comaximal to each of
     c1..ck is comaximal to their product (k = 2, 3 exhaustively; larger
-    k follows by induction from k = 2).
+    k follows by induction from k = 2).  Part (iii) ranges the ci over
+    the elements comaximal to a only: every other tuple fails the
+    hypothesis, and the subsequence keeps the order, so the first
+    failing tuple is the one the full product over the lattice reaches.
     """
     L = ctx.L
     for a in L.elements():
@@ -205,10 +209,9 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
                 return True, False, (a, b)
     for k in (2, 3):
         for a in L.elements():
-            for cs in itertools.product(L.elements(), repeat=k):
-                if all(L.comaximal(a, c) for c in cs) and not L.comaximal(
-                    a, L.mul(cs)
-                ):
+            comax = [c for c in L.elements() if L.comaximal(a, c)]
+            for cs in itertools.product(comax, repeat=k):
+                if not L.comaximal(a, L.mul(cs)):
                     return True, False, (a, *cs)
     return True, True, None
 
@@ -219,35 +222,34 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
     (i) meets of increasing sequences commute with the joins, on the
     increasing sequences (b : c^k); (ii) (radical(b) : c) equals the
     radical of the join of the (b : c^k).
+
+    Part (i) quantifies over all (b1, c1, b2, c2), but its comparison
+    depends only on the two sequences (b1 : c1^k) and (b2 : c2^k), and
+    far fewer sequences are distinct than there are pairs (b, c).  The
+    comparison is made once per ordered pair of distinct sequences,
+    each standing for its first pair (b, c) in index order; visiting
+    the sequences in that order reports the same first failing tuple
+    as the loop over all 4-tuples.
     """
     L = ctx.L
     els = range(L.n)
+    firsts: dict[tuple[Elt, ...], tuple[Elt, Elt]] = {}
     for b, c in itertools.product(els, repeat=2):
-        seq = [L.quotient(b, ck) for ck in L.power_chain(c)]
+        seq = tuple(L.quotient(b, ck) for ck in L.power_chain(c))
+        firsts.setdefault(seq, (b, c))
         rhs = L.radical(L.join(seq))
         if L.quotient(L.radical(b), c) != rhs:
             return True, False, (b, c)
-    for b1, c1, b2, c2 in itertools.product(els, repeat=4):
-        k1 = [L.quotient(b1, ck) for ck in L.power_chain(c1)]
-        k2 = [L.quotient(b2, ck) for ck in L.power_chain(c2)]
-        kk = max(len(k1), len(k2))
-        s1 = [k1[min(i, len(k1) - 1)] for i in range(kk)]
-        s2 = [k2[min(i, len(k2) - 1)] for i in range(kk)]
-        lhs = L.meet2(L.join(s1), L.join(s2))
-        rhs = L.join(L.meet2(x, y) for x, y in zip(s1, s2))
-        if lhs != rhs:
-            return True, False, (b1, c1, b2, c2)
+    for k1, first1 in firsts.items():
+        for k2, first2 in firsts.items():
+            kk = max(len(k1), len(k2))
+            s1 = [k1[min(i, len(k1) - 1)] for i in range(kk)]
+            s2 = [k2[min(i, len(k2) - 1)] for i in range(kk)]
+            lhs = L.meet2(L.join(s1), L.join(s2))
+            rhs = L.join(L.meet2(x, y) for x, y in zip(s1, s2))
+            if lhs != rhs:
+                return True, False, (*first1, *first2)
     return True, True, None
-
-
-def _comaximal_subsets(L: FiniteMultLattice) -> list[tuple[Elt, ...]]:
-    proper = L.proper_elements()
-    out = []
-    for size in range(1, len(proper) + 1):
-        for sub in itertools.combinations(proper, size):
-            if all(L.comaximal(p, q) for p, q in itertools.combinations(sub, 2)):
-                out.append(sub)
-    return out
 
 
 def _thm_unique_lift(ctx: _Ctx) -> _Result:
@@ -257,10 +259,12 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     the same radical as a is uniquely a product of pairwise comaximal
     parts matching the parts' radicals; uniqueness is confirmed by a
     brute-force scan.  When the product is a radical element, the parts
-    are radical too.
+    are radical too.  The decompositions are the pairwise comaximal
+    sets of proper elements, walked as cliques of the comaximality
+    graph (:func:`comaximal_sets`), so their number bounds the cost.
     """
     L = ctx.L
-    for parts in _comaximal_subsets(L):
+    for parts in comaximal_sets(L, L.proper_elements()):
         a = L.mul(parts)
         ra = L.radical(a)
         rads = [L.radical(p) for p in parts]

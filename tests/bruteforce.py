@@ -12,6 +12,7 @@ import itertools
 
 from comaxlat.core import FiniteMultLattice
 from comaxlat.enumeration import OrderTable
+from comaxlat.factorize import FactorKind, Factorization, TopElement
 
 
 def radical_by_nilpotents(L: FiniteMultLattice, a: int) -> int:
@@ -195,3 +196,96 @@ def canonical_form_by_all_relabelings(L: FiniteMultLattice) -> bytes:
         if best is None or cand < best:
             best = cand
     return best
+
+
+# -- naive theorem-suite kernels ---------------------------------------------
+# Earlier engine code kept as it was (apart from taking the lattice instead of
+# the checker context): every tuple and every subset is visited, so the
+# deduplicated and clique-walking kernels can be compared against them.
+
+
+def lemma_comaximal_naive(L: FiniteMultLattice):
+    for a in L.elements():
+        for b in L.elements():
+            c1 = L.comaximal(a, b)
+            if c1 and (
+                L.meet2(a, b) != L.mul2(a, b) or L.quotient(a, b) != a
+            ):
+                return True, False, (a, b)
+            c2 = L.comaximal(L.radical(a), L.radical(b))
+            powers = [
+                L.comaximal(ai, bj)
+                for ai in L.power_chain(a)
+                for bj in L.power_chain(b)
+            ]
+            if not (c1 == c2 == all(powers) == any(powers)):
+                return True, False, (a, b)
+    for k in (2, 3):
+        for a in L.elements():
+            for cs in itertools.product(L.elements(), repeat=k):
+                if all(L.comaximal(a, c) for c in cs) and not L.comaximal(
+                    a, L.mul(cs)
+                ):
+                    return True, False, (a, *cs)
+    return True, True, None
+
+
+def lemma_formulas_naive(L: FiniteMultLattice):
+    els = range(L.n)
+    for b, c in itertools.product(els, repeat=2):
+        seq = [L.quotient(b, ck) for ck in L.power_chain(c)]
+        rhs = L.radical(L.join(seq))
+        if L.quotient(L.radical(b), c) != rhs:
+            return True, False, (b, c)
+    for b1, c1, b2, c2 in itertools.product(els, repeat=4):
+        k1 = [L.quotient(b1, ck) for ck in L.power_chain(c1)]
+        k2 = [L.quotient(b2, ck) for ck in L.power_chain(c2)]
+        kk = max(len(k1), len(k2))
+        s1 = [k1[min(i, len(k1) - 1)] for i in range(kk)]
+        s2 = [k2[min(i, len(k2) - 1)] for i in range(kk)]
+        lhs = L.meet2(L.join(s1), L.join(s2))
+        rhs = L.join(L.meet2(x, y) for x, y in zip(s1, s2))
+        if lhs != rhs:
+            return True, False, (b1, c1, b2, c2)
+    return True, True, None
+
+
+def comaximal_subsets_naive(L: FiniteMultLattice) -> list[tuple[int, ...]]:
+    proper = L.proper_elements()
+    out = []
+    for size in range(1, len(proper) + 1):
+        for sub in itertools.combinations(proper, size):
+            if all(L.comaximal(p, q) for p, q in itertools.combinations(sub, 2)):
+                out.append(sub)
+    return out
+
+
+def oracle_factorizations_naive(L: FiniteMultLattice, a: int, kind: FactorKind):
+    if a == L.top:
+        raise TopElement(f"{L.label(a)} admits no factorization")
+
+    def condition(f: int) -> bool:
+        if kind is FactorKind.CPR:
+            return L.is_prime(L.radical(f))
+        if kind is FactorKind.CQ:
+            return L.is_primary(f)
+        return L.prime_power_witness(f) is not None
+
+    candidates = [f for f in L.proper_elements() if condition(f)]
+    out = []
+    for size in range(1, len(candidates) + 1):
+        for subset in itertools.combinations(candidates, size):
+            if all(
+                L.comaximal(p, q) for p, q in itertools.combinations(subset, 2)
+            ) and L.mul(subset) == a:
+                out.append(Factorization(kind=kind, target=a, factors=subset))
+    return out
+
+
+def boolean_lattice(k: int) -> FiniteMultLattice:
+    """The subsets of a k-set with meet as product; element i is the subset
+    with bitmask i, so the bottom is 0 and the top is 2**k - 1."""
+    n = 1 << k
+    up = tuple(sum(1 << j for j in range(n) if i & j == i) for i in range(n))
+    mul = [[i & j for j in range(n)] for i in range(n)]
+    return FiniteMultLattice.from_tables(up, mul, 0, n - 1, name=f"B{n}")

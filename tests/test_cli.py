@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from bruteforce import boolean_lattice
 from comaxlat.cli import main
+from comaxlat.latfile import serialize_spec
 from comaxlat.presets import PRESET_NAMES
 
 
@@ -163,6 +165,16 @@ def test_theorems_output_format(capsys, preset_file):
     )
     assert main(["theorems", str(path), "--generators", "a,b"]) == 0
     assert main(["theorems", str(path), "--generators", "a,zz"]) == 2
+
+
+def test_theorems_on_the_32_element_boolean_lattice(capsys, tmp_path):
+    # 2**31 subsets of proper elements, but only 202 pairwise comaximal sets
+    path = tmp_path / "B32.json"
+    path.write_text(serialize_spec(boolean_lattice(5).to_spec()))
+    assert main(["theorems", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "thm_unique_lift hypotheses=y conclusion=pass" in lines
+    assert lines[-1] == "overall=pass"
 
 
 def test_enumerate_counts(capsys):

@@ -1,12 +1,18 @@
 """Core model: validation, order/monoid operations, element predicates."""
 
+import string
+
 import pytest
 
+from bruteforce import boolean_lattice
 from comaxlat.core import (
+    FiniteMultLattice,
     InvalidSpec,
     LatticeSpec,
     ValidationError,
+    default_labels,
     mul_key,
+    order_tables,
     validate_lattice,
 )
 from comaxlat.presets import preset, preset_spec
@@ -294,3 +300,35 @@ def test_lattice_keeps_fewer_than_30_attributes():
     # From 30 instance attributes on, CPython 3.11 stops sharing dict keys
     # between instances and every attribute lookup on a lattice slows down.
     assert len(vars(preset("L1"))) < 30
+
+
+def _chain_lattice(mul):
+    """Call the internal constructor on the chain 0 < a < b < 1, unvalidated."""
+    up = (0b1111, 0b1110, 0b1100, 0b1000)
+    join, meet, _ = order_tables(up, 4)
+    return FiniteMultLattice(
+        "chain", ("0", "a", "b", "1"), up, join, meet, mul, 0, 3
+    )
+
+
+def test_constructor_asserts_product_below_meet_and_monotone():
+    valid = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3))
+    _chain_lattice(valid)
+    above_meet = ((0, 0, 0, 0), (0, 1, 2, 1), (0, 2, 2, 2), (0, 1, 2, 3))
+    with pytest.raises(AssertionError, match="below the meet"):
+        _chain_lattice(above_meet)
+    # a*a = a*b = a but b*b = 0: every product lies below the meet, yet
+    # a <= b while a*b is not below b*b
+    non_monotone = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 0, 2), (0, 1, 2, 3))
+    with pytest.raises(AssertionError, match="monotone"):
+        _chain_lattice(non_monotone)
+
+
+def test_default_labels_continue_past_z():
+    assert default_labels(28, 0, 27) == ("0", *string.ascii_lowercase, "1")
+    labels = default_labels(60, 0, 59)
+    assert labels[27:30] == ("aa", "ab", "ac")
+    assert len(set(labels)) == 60
+    L = boolean_lattice(5)  # 32 elements: from_tables with default labels
+    assert L.labels[-6:] == ("z", "aa", "ab", "ac", "ad", "1")
+    assert validate_lattice(L.to_spec()).labels == L.labels

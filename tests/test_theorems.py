@@ -1,9 +1,26 @@
 """Theorem suite: per-entry golden cases and whole-suite soundness."""
 
+import copy
+import random
+from collections import Counter
+
 import pytest
 
+from bruteforce import (
+    boolean_lattice,
+    comaximal_subsets_naive,
+    lemma_comaximal_naive,
+    lemma_formulas_naive,
+    oracle_factorizations_naive,
+)
 from comaxlat.core import LatticeSpec, validate_lattice
-from comaxlat.factorize import FactorKind, NoFactorization, factor
+from comaxlat.factorize import (
+    FactorKind,
+    NoFactorization,
+    comaximal_sets,
+    factor,
+    oracle_factorizations,
+)
 from comaxlat.presets import preset
 from comaxlat.theorems import (
     THEOREM_IDS,
@@ -130,3 +147,101 @@ def test_l2_to_l3_multiplication_flip():
 def test_suite_is_deterministic(all_presets):
     for L in all_presets:
         assert run_theorem_suite(L) == run_theorem_suite(L)
+
+
+# -- deduplicated kernels against their naive twins ---------------------------
+
+_NAIVE_ENTRIES = {
+    "lemma_comaximal": lemma_comaximal_naive,
+    "lemma_formulas": lemma_formulas_naive,
+}
+
+
+def _assert_kernels_match_naive(L) -> set[str]:
+    """Compare each kernel with its naive twin; return the failing entries."""
+    failing = set()
+    for tid, naive in _NAIVE_ENTRIES.items():
+        hyp, concl, witness = naive(L)
+        labels = None if witness is None else tuple(L.label(w) for w in witness)
+        e = check_entry(L, tid)
+        assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == (
+            hyp,
+            concl,
+            labels,
+        ), (L.name, tid)
+        if concl is False:
+            failing.add(tid)
+    assert list(comaximal_sets(L, L.proper_elements())) == comaximal_subsets_naive(L)
+    for a in L.proper_elements():
+        for kind in FactorKind:
+            assert oracle_factorizations(L, a, kind) == oracle_factorizations_naive(
+                L, a, kind
+            ), (L.name, a, kind)
+    return failing
+
+
+def test_kernels_match_naive_twins(universe_deep, all_presets):
+    # the Boolean lattice has many comaximal sets of each size, so the
+    # order of the clique walk is compared as well as its contents
+    for L in [*universe_deep, *all_presets, boolean_lattice(4)]:
+        assert not _assert_kernels_match_naive(L)
+
+
+def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
+    # One perturbed cell of the quotient, join or product table makes the
+    # kernels fail; the failures and their witnesses must match too.
+    rng = random.Random(20211)
+    failing = Counter()
+    for L in universe5:
+        if L.n != 5:
+            continue
+        for table in ("_quot", "_join", "_mul"):
+            for _ in range(3):
+                rows = [list(row) for row in getattr(L, table)]
+                x, y = rng.randrange(L.n), rng.randrange(L.n)
+                rows[x][y] = rng.choice([v for v in L.elements() if v != rows[x][y]])
+                C = copy.copy(L)
+                setattr(C, table, tuple(map(tuple, rows)))
+                failing.update(_assert_kernels_match_naive(C))
+    assert failing["lemma_comaximal"] > 0 and failing["lemma_formulas"] > 0, failing
+
+
+# Per-checker (pass, fail, not-applicable) tally over the 723 size-7
+# lattices, frozen from the exhaustive kernels before they were
+# deduplicated; a checker that silently turns not-applicable shows here.
+SIZE7_TALLY = {
+    "lemma_comaximal": (723, 0, 0),
+    "lemma_formulas": (723, 0, 0),
+    "thm_unique_lift": (723, 0, 0),
+    "thm_cpr_criterion": (723, 0, 0),
+    "cor_closure": (694, 0, 29),
+    "thm_treed_from_generators": (694, 0, 29),
+    "cor_compact_equivalences": (723, 0, 0),
+    "thm_cpr_sufficiency": (694, 0, 29),
+    "thm_cq_characterization": (723, 0, 0),
+    "cor_cq_dimension": (0, 0, 723),
+    "lemma_cq_sufficient": (34, 0, 689),
+    "thm_cq_generators": (0, 0, 723),
+    "lemma_prime_principal": (0, 0, 723),
+    "thm_dedekind": (0, 0, 723),
+    "dedekind_dim1": (0, 0, 723),
+}
+
+
+def test_size7_theorem_suite_tally(universe7):
+    tally = Counter()
+    for L in universe7:
+        if L.n != 7:
+            continue
+        report = run_theorem_suite(L)
+        assert report.overall_pass, report
+        for e in report.entries:
+            verdict = (
+                "na" if e.conclusion_holds is None
+                else "pass" if e.conclusion_holds else "fail"
+            )
+            tally[e.theorem_id, verdict] += 1
+    assert {
+        tid: tuple(tally[tid, v] for v in ("pass", "fail", "na"))
+        for tid in THEOREM_IDS
+    } == SIZE7_TALLY
