@@ -213,6 +213,32 @@ def order_tables(
     return tuple(map(tuple, join)), tuple(map(tuple, meet)), None
 
 
+def _first_nonassociative(
+    mul: Sequence[Sequence[int]], n: int
+) -> Optional[tuple[int, int, int]]:
+    """The first ``(x, y, z)`` in index order with ``(x*y)*z != x*(y*z)``."""
+    for x, mx in enumerate(mul):
+        for y, my in enumerate(mul):
+            left = mul[mx[y]]
+            for z in range(n):
+                if left[z] != mx[my[z]]:
+                    return x, y, z
+    return None
+
+
+def _first_nondistributive(
+    mul: Sequence[Sequence[int]], join: tuple[tuple[int, ...], ...], n: int
+) -> Optional[tuple[int, int, int]]:
+    """The first ``(x, a, b)``, ``a <= b`` in index, with ``x*(a v b) != x*a v x*b``."""
+    for x, mx in enumerate(mul):
+        for a in range(n):
+            ja, jxa = join[a], join[mx[a]]
+            for b in range(a, n):
+                if mx[ja[b]] != jxa[mx[b]]:
+                    return x, a, b
+    return None
+
+
 def multiplication_violations(
     labels: tuple[str, ...],
     join: tuple[tuple[int, ...], ...],
@@ -240,34 +266,12 @@ def multiplication_violations(
         if mul[x][bottom] != bottom:
             out.append(Violation("BottomNotAbsorbing", (labels[x],)))
             break
-    done = False
-    for x in range(n):
-        if done:
-            break
-        for y in range(n):
-            if done:
-                break
-            for z in range(n):
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    out.append(
-                        Violation("NotAssociative", (labels[x], labels[y], labels[z]))
-                    )
-                    done = True
-                    break
-    done = False
-    for x in range(n):
-        if done:
-            break
-        for a in range(n):
-            if done:
-                break
-            for b in range(a, n):
-                if mul[x][join[a][b]] != join[mul[x][a]][mul[x][b]]:
-                    out.append(
-                        Violation("NotDistributive", (labels[x], labels[a], labels[b]))
-                    )
-                    done = True
-                    break
+    assoc = _first_nonassociative(mul, n)
+    if assoc is not None:
+        out.append(Violation("NotAssociative", tuple(labels[i] for i in assoc)))
+    dist = _first_nondistributive(mul, join, n)
+    if dist is not None:
+        out.append(Violation("NotDistributive", tuple(labels[i] for i in dist)))
     return out
 
 

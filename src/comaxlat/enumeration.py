@@ -15,8 +15,12 @@ the automorphism dedup and :func:`canonical_form` all use it.
 
 The multiplication search only branches on products of proper
 join-irreducible elements: the remaining entries are forced by join
-distributivity and propagated.  Two checks prune a branch as soon as a
-partial table breaks an axiom:
+distributivity and propagated.  Distributivity ``x*y = u*y v v*y`` is
+enforced for every incomparable pair ``(u, v)`` of proper elements with
+``u v v = x``, pairs joining to the top included: the first pair whose
+two products are known fills ``x*y``, every other pair must agree with
+it (for ``x`` the top, with the preset ``T*y = y``).  Two more checks
+prune a branch as soon as a partial table breaks an axiom:
 
 - monotonicity: a new entry ``x*y = v`` must lie above every known
   entry ``a*b`` with ``a <= x`` and ``b <= y`` and below every known
@@ -25,10 +29,12 @@ partial table breaks an axiom:
   ``p*(q*r)`` of join-irreducibles ``p, q, r`` are all known, the two
   sides must agree.
 
-Both are consequences of the axioms, so every pruned branch holds no
-solution.  A completed table passes the associativity check on every
-triple of join-irreducibles, then the full axiom check, before it is
-emitted.  Hence every emitted lattice validates cleanly.
+All three are consequences of the axioms, so every pruned branch holds
+no solution.  A completed table is distributive everywhere and
+associative on join-irreducibles, hence associative; it still passes the
+associativity check on every triple of join-irreducibles, then the full
+axiom check, before it is emitted, so every emitted lattice validates
+cleanly.
 
 The per-order searches are independent, so the work may be partitioned
 across worker processes; results are merged in a fixed sorted order and
@@ -293,10 +299,11 @@ def _mult_tables(order: OrderTable) -> list[Table]:
     """All axiom-satisfying multiplication tables on the order (raw search).
 
     Branches only on products of proper join-irreducible pairs; the
-    rest is forced by distributivity and propagated.  Monotonicity and
-    associativity on join-irreducibles prune partial tables; completed
-    tables are checked against the full axiom set.  Returns tables
-    before automorphism dedup, in deterministic order.
+    rest is forced by distributivity, propagated over every incomparable
+    pair of proper elements and its join, the top included.
+    Monotonicity and associativity on join-irreducibles prune partial
+    tables; completed tables are checked against the full axiom set.
+    Returns tables before automorphism dedup, in deterministic order.
     """
     n, B, T = order.n, order.bottom, order.top
     if n == 1 or B == T:
@@ -305,13 +312,15 @@ def _mult_tables(order: OrderTable) -> list[Table]:
     down = down_masks(up)
     mids = [i for i in range(n) if i not in (B, T)]
 
-    covers = {}
-    for x in mids:
-        below = down[x] & ~(1 << x)
-        covers[x] = [i for i in range(n) if below >> i & 1 and up[i] & below == 1 << i]
-    jirr = [x for x in mids if len(covers[x]) == 1]
-    # any two distinct lower covers join to x
-    dec = {x: (c[0], c[1]) for x, c in covers.items() if len(c) > 1}
+    # every incomparable pair of proper elements, with its join; an
+    # element is join-irreducible exactly when no such pair joins to it
+    joins = [
+        (join[u][v], u, v)
+        for u, v in itertools.combinations(mids, 2)
+        if not (up[u] >> v | up[v] >> u) & 1
+    ]
+    reducible = {x for x, _, _ in joins}
+    jirr = [x for x in mids if x not in reducible]
 
     table: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -356,16 +365,19 @@ def _mult_tables(order: OrderTable) -> list[Table]:
         return True
 
     def propagate() -> bool:
+        # x*y = u*y v v*y: the first known pair fills the cell, every other
+        # pair checks it; for x = T the cell T*y = y is preset
         changed = True
         while changed:
             changed = False
-            for x, (u, v) in dec.items():
+            for x, u, v in joins:
+                tu, tv, tx = table[u], table[v], table[x]
                 for y in mids:
-                    a, b = table[u][y], table[v][y]
+                    a, b = tu[y], tv[y]
                     if a is None or b is None:
                         continue
                     val = join[a][b]
-                    cur = table[x][y]
+                    cur = tx[y]
                     if cur is None:
                         if not set_cell(x, y, val):
                             return False
@@ -448,23 +460,6 @@ def enumerate_multiplications(order: OrderTable) -> list[FiniteMultLattice]:
 _UNIVERSE_CACHE: dict[int, tuple[FiniteMultLattice, ...]] = {}
 
 
-def _lattices_of_size(n: int, workers: int = 1) -> tuple[FiniteMultLattice, ...]:
-    if n in _UNIVERSE_CACHE:
-        return _UNIVERSE_CACHE[n]
-    orders = enumerate_bounded_lattices(n, size_cap=HARD_SIZE_CAP)
-    if workers > 1 and len(orders) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(orders))) as pool:
-            per_order = list(pool.map(_mult_reps, orders))
-    else:
-        per_order = [_mult_reps(order) for order in orders]
-    _UNIVERSE_CACHE[n] = tuple(
-        _lattice(order, tab, idx)
-        for order, tabs in zip(orders, per_order)
-        for idx, tab in enumerate(tabs)
-    )
-    return _UNIVERSE_CACHE[n]
-
-
 def enumerated_universe(
     size_max: int, *, size_cap: int = DEFAULT_SIZE_CAP, workers: int = 1
 ) -> tuple[FiniteMultLattice, ...]:
@@ -472,13 +467,28 @@ def enumerated_universe(
 
     One lattice per isomorphism class, ordered by size then canonical
     form.  Results are cached per size and identical for any worker
-    count.
+    count.  The orders of all uncached sizes share one worker pool.
     """
     _check_cap(size_max, size_cap)
-    out: list[FiniteMultLattice] = []
-    for n in range(1, size_max + 1):
-        out.extend(_lattices_of_size(n, workers=workers))
-    return tuple(out)
+    sizes = [n for n in range(1, size_max + 1) if n not in _UNIVERSE_CACHE]
+    orders = [
+        order
+        for n in sizes
+        for order in enumerate_bounded_lattices(n, size_cap=HARD_SIZE_CAP)
+    ]
+    if workers > 1 and len(orders) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(orders))) as pool:
+            per_order = list(pool.map(_mult_reps, orders))
+    else:
+        per_order = [_mult_reps(order) for order in orders]
+    found = [
+        _lattice(order, tab, idx)
+        for order, tabs in zip(orders, per_order)
+        for idx, tab in enumerate(tabs)
+    ]
+    for n in sizes:
+        _UNIVERSE_CACHE[n] = tuple(L for L in found if L.n == n)
+    return tuple(L for n in range(1, size_max + 1) for L in _UNIVERSE_CACHE[n])
 
 
 def quotient_hypothesis_holds(

@@ -131,6 +131,29 @@ def _naive_axioms_ok(t, order: OrderTable) -> bool:
     return True
 
 
+def first_axiom_failures_naive(mul, join, n: int):
+    """The first associativity and the first distributivity failure.
+
+    Returns ``(x, y, z)`` with ``(x*y)*z != x*(y*z)`` and ``(x, a, b)``
+    with ``a <= b`` in index and ``x*(a v b) != x*a v x*b``, each the
+    first in index order, or ``None`` where the axiom holds.
+    """
+    cube = list(itertools.product(range(n), repeat=3))
+    assoc = next(
+        ((x, y, z) for x, y, z in cube if mul[mul[x][y]][z] != mul[x][mul[y][z]]),
+        None,
+    )
+    dist = next(
+        (
+            (x, a, b)
+            for x, a, b in cube
+            if a <= b and mul[x][join[a][b]] != join[mul[x][a]][mul[x][b]]
+        ),
+        None,
+    )
+    return assoc, dist
+
+
 def count_iso_classes(order: OrderTable, tables) -> int:
     """Dedup tables under order automorphisms found by direct search."""
     n = order.n

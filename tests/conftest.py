@@ -17,6 +17,12 @@ def pytest_addoption(parser):
         default=False,
         help="also run the size-7 checks: frozen counts and catalog forms (slower)",
     )
+    parser.addoption(
+        "--size8",
+        action="store_true",
+        default=False,
+        help="also run the size-8 checks: orders and multiplication counts (slower)",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 """Core model: validation, order/monoid operations, element predicates."""
 
+import random
 import string
+from collections import Counter
 
 import pytest
 
-from bruteforce import boolean_lattice
+from bruteforce import boolean_lattice, first_axiom_failures_naive
 from comaxlat.core import (
     FiniteMultLattice,
     InvalidSpec,
@@ -12,6 +14,7 @@ from comaxlat.core import (
     ValidationError,
     default_labels,
     mul_key,
+    multiplication_violations,
     order_tables,
     validate_lattice,
 )
@@ -58,6 +61,32 @@ def test_mutated_l1_fails_associativity_or_distributivity():
     codes = exc.value.codes()
     assert codes & {"NotAssociative", "NotDistributive"}
     assert all(len(v.witness) == 3 for v in exc.value.violations)
+
+
+def test_axiom_witnesses_match_naive_scan(universe5):
+    # one perturbed product cell per table: the first associativity and
+    # distributivity witnesses, in index order, must match a plain scan
+    rng = random.Random(7)
+    failing = Counter()
+    for L in universe5:
+        for _ in range(4):
+            mul = [list(row) for row in L._mul]
+            x, y = rng.randrange(L.n), rng.randrange(L.n)
+            mul[x][y] = rng.choice([v for v in L.elements() if v != mul[x][y]])
+            found = {
+                v.code: v.witness
+                for v in multiplication_violations(
+                    L.labels, L._join, mul, L.bottom, L.top
+                )
+            }
+            for code, first in zip(
+                ("NotAssociative", "NotDistributive"),
+                first_axiom_failures_naive(mul, L._join, L.n),
+            ):
+                expect = None if first is None else tuple(L.labels[i] for i in first)
+                assert found.get(code) == expect, (L.name, code)
+                failing[code] += first is not None
+    assert failing["NotAssociative"] > 0 and failing["NotDistributive"] > 0, failing
 
 
 def test_bottom_equals_top_rejected():

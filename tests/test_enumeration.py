@@ -1,5 +1,6 @@
 """Enumeration: order generation, multiplication search, canonical forms, search."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -49,6 +50,33 @@ TOTALS = {1: 0, 2: 1, 3: 2, 4: 7, 5: 26, 6: 129}
 SIZE7_MULT_COUNTS = [0] * 34 + [
     2, 0, 1, 11, 1, 1, 2, 9, 2, 4, 3, 12, 27, 55, 5, 24, 60, 53, 451
 ]
+# Size 8 is checked under --size8 only, with the cap raised inside the test.
+# 222 orders (OEIS A006966); the per-order counts were frozen from the
+# search that propagated distributivity over two lower covers per element.
+SIZE8_ORDER_COUNT = 222
+SIZE8_MULT_COUNTS = (
+    [0] * 78 + [1] + [0] * 67 + [6] + [0] * 12
+    + [
+        2, 0, 9, 0, 0, 0, 1, 2, 7, 50, 1, 1, 1, 2, 12, 1, 1, 1, 1, 2, 2, 3,
+        26, 2, 3, 23, 46, 2, 2, 4, 2, 3, 6, 25, 2, 4, 4, 12, 16, 41, 3, 12,
+        28, 16, 71, 156, 44, 257, 5, 8, 13, 37, 12, 35, 21, 66, 163, 325,
+        24, 135, 298, 268, 2386,
+    ]
+)
+# sha256 of repr([_mult_tables(order) for order in the orders of size n]):
+# the raw search output, per order and before dedup, frozen from that same
+# search.  Pruning may only cut branches that hold no table, so a changed
+# digest means a lost table or a reordering.
+RAW_SEARCH_DIGESTS = {
+    1: "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    2: "1fc5c2a1a680332d91900028c838ba4bf18ed1ecee04bb9657263a4eb880ecde",
+    3: "f461602b9c86feced42a2401d78f1f9386b3a203abab22ac6ffc65bf439b1c29",
+    4: "4670c9821f896c5fc397045954b188995849ebfa7767b68c3cd960a0ea574494",
+    5: "fcdc3a9006e0f498546294241efc5130a245f92937506cf7bc8e84a8d2f2f79e",
+    6: "14d3aacf1b0aa68f0e851abee63145b155a2be11e66fb2b5f416e37e84dc93c3",
+    7: "282c87e2087bdc82c1fd7639f56930ae2f730133073cc398c999305a4bed5c8b",
+    8: "5fe4c2e16fafa2260fac0c6adade460b9662e9ac3bfbf9e68c1b93c3bebbc0d3",
+}
 
 
 def test_bounded_lattice_counts_frozen():
@@ -69,12 +97,44 @@ def test_multiplication_counts_frozen():
         assert sum(got) == TOTALS[n]
 
 
+def _raw_search_digest(orders) -> str:
+    tables = [enumeration._mult_tables(order) for order in orders]
+    return hashlib.sha256(repr(tables).encode()).hexdigest()
+
+
 def test_pruned_search_agrees_with_naive_fill(deep_size):
     for n in range(2, deep_size + 1):
         for order in enumerate_bounded_lattices(n):
+            naive_tables = naive_multiplications(order)
+            assert set(enumeration._mult_tables(order)) == set(naive_tables)
             fast = len(enumerate_multiplications(order))
-            naive = count_iso_classes(order, naive_multiplications(order))
+            naive = count_iso_classes(order, naive_tables)
             assert fast == naive, f"{order.name}"
+
+
+def test_raw_search_output_frozen():
+    for n in range(1, 7):
+        got = _raw_search_digest(enumerate_bounded_lattices(n))
+        assert got == RAW_SEARCH_DIGESTS[n], f"size {n}"
+
+
+def test_search_completes_only_solutions(monkeypatch):
+    # every table the search completes passes the full axiom check: the
+    # pruning leaves no failing table for that check to reject
+    check = enumeration.multiplication_violations
+    verdicts = []
+
+    def recording(*args):
+        verdicts.append(check(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(enumeration, "multiplication_violations", recording)
+    for n in range(1, 7):
+        verdicts.clear()
+        orders = enumerate_bounded_lattices(n)
+        raw = sum(len(enumeration._mult_tables(order)) for order in orders)
+        assert len(verdicts) == raw, f"size {n}"
+        assert not any(verdicts), f"size {n}"
 
 
 def test_two_and_three_chains():
@@ -136,6 +196,22 @@ def test_size7_counts_frozen(universe7):
     per_order = Counter(L.name.rsplit("_", 1)[0] for L in universe7 if L.n == 7)
     assert [per_order[o.name] for o in orders] == SIZE7_MULT_COUNTS
     assert sum(SIZE7_MULT_COUNTS) == 723
+
+
+def test_size7_raw_search_output_frozen(universe7):
+    orders = enumerate_bounded_lattices(7, size_cap=7)
+    assert _raw_search_digest(orders) == RAW_SEARCH_DIGESTS[7]
+
+
+def test_size8_counts_frozen(request, monkeypatch):
+    if not request.config.getoption("--size8"):
+        pytest.skip("needs --size8")
+    monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
+    orders = enumerate_bounded_lattices(8, size_cap=8)
+    assert len(orders) == SIZE8_ORDER_COUNT
+    assert _raw_search_digest(orders) == RAW_SEARCH_DIGESTS[8]
+    assert [len(enumeration._mult_reps(o)) for o in orders] == SIZE8_MULT_COUNTS
+    assert sum(SIZE8_MULT_COUNTS) == 4712
 
 
 def _catalog_matches_fresh_canonical_forms(universe, size, tmp_path):
@@ -200,12 +276,16 @@ def test_worker_pool_is_no_larger_than_the_order_count(monkeypatch, universe5):
             return False
 
         def map(self, fn, items):
+            mapped.append(len(items))
             return map(fn, items)
 
+    mapped = []
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(enumeration, "_UNIVERSE_CACHE", {})
     par = enumerated_universe(5, workers=5000)
-    assert sizes == [BOUNDED_LATTICE_COUNTS[4], BOUNDED_LATTICE_COUNTS[5]]
+    # one pool for every size, as large as the orders it maps (sizes 1-5)
+    assert mapped == [sum(BOUNDED_LATTICE_COUNTS[n] for n in range(1, 6))]
+    assert sizes == mapped
     assert [canonical_form(L) for L in par] == [canonical_form(L) for L in universe5]
 
 
