@@ -388,11 +388,9 @@ class FiniteMultLattice:
             for y in range(n):
                 assert down[meet_row[y]] >> row[y] & 1, "product must lie below the meet"
         for z in range(n):
-            below = down[z] & ~(1 << z)
-            for y in _members(below):
-                if up[y] & below == 1 << y:  # y is a lower cover of z
-                    for x in range(n):
-                        assert down[mul[x][z]] >> mul[x][y] & 1, "product must be monotone"
+            for y in self.lower_covers(z):
+                for x in range(n):
+                    assert down[mul[x][z]] >> mul[x][y] & 1, "product must be monotone"
 
         # quotient table: quot[y][x] = largest a with a*x <= y
         quot = [[bottom] * n for _ in range(n)]
@@ -715,13 +713,8 @@ class FiniteMultLattice:
 
     def to_spec(self) -> LatticeSpec:
         """Serialize back to a spec: covering pairs plus the non-forced products."""
-        pairs = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and self.leq(i, j):
-                    between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                    if between == 0:
-                        pairs.append((self.labels[i], self.labels[j]))
+        covers = sorted((i, j) for j in range(self.n) for i in self.lower_covers(j))
+        pairs = [(self.labels[i], self.labels[j]) for i, j in covers]
         entries: dict[tuple[str, str], str] = {}
         for i in range(self.n):
             for j in range(i, self.n):

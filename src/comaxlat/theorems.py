@@ -347,7 +347,6 @@ def _cor_closure(ctx: _Ctx) -> _Result:
 def _thm_treed_from_generators(ctx: _Ctx) -> _Result:
     """If all pairwise products of generators factor with prime radicals,
     the lattice is treed."""
-    L = ctx.L
     if not (ctx.gens_generate and FactorKind.CPR in ctx.gen_products_admit):
         return False, None, None
     return True, ctx.profile.is_treed, None
@@ -382,8 +381,9 @@ def _thm_cpr_sufficiency(ctx: _Ctx) -> _Result:
     Hypotheses: (1) every non-minimal prime lies below finitely many
     maximal elements (automatic here, still evaluated); (2) whenever a
     is outside finitely many primes some generator below a is outside
-    them too; (3) pairwise products of generators factor.
-    """
+    them too; (3) pairwise products of generators factor.  (2) is
+    decided on the primes not above a, as a generator outside all of
+    them is outside every subset of them."""
     L = ctx.L
     if not ctx.gens_generate:
         return False, None, None
@@ -393,22 +393,12 @@ def _thm_cpr_sufficiency(ctx: _Ctx) -> _Result:
         for p in L.spectrum()
         if p not in minimal
     )
-    hyp2 = True
-    spectrum = L.spectrum()
-    for a in L.elements():
-        if not hyp2:
-            break
-        for size in range(1, len(spectrum) + 1):
-            if not hyp2:
-                break
-            for ps in itertools.combinations(spectrum, size):
-                if all(not L.leq(a, p) for p in ps):
-                    if not any(
-                        L.leq(g, a) and all(not L.leq(g, p) for p in ps)
-                        for g in ctx.gens
-                    ):
-                        hyp2 = False
-                        break
+    outside = {a: [p for p in L.spectrum() if not L.leq(a, p)] for a in L.elements()}
+    hyp2 = all(
+        not ps
+        or any(L.leq(g, a) and not any(L.leq(g, p) for p in ps) for g in ctx.gens)
+        for a, ps in outside.items()
+    )
     hyp3 = FactorKind.CPR in ctx.gen_products_admit
     if not (hyp1 and hyp2 and hyp3):
         return False, None, None
@@ -434,7 +424,10 @@ def _thm_cq_characterization(ctx: _Ctx) -> _Result:
 
 def _cor_cq_dimension(ctx: _Ctx) -> _Result:
     """For a nondegenerate domain generated by join-principal elements,
-    primary factorizations exist for everything iff the dimension is one."""
+    primary factorizations exist for everything iff the dimension is one.
+    Never applicable when finite: in a domain a nonzero join-principal j
+    has (a*j : j) = a for all a, so a = j^(m-1) with m least such that
+    j^m = j^(m+1) gives j = 1, and the bounds generate only the 2-chain."""
     L = ctx.L
     jp = L.join_principal_elements()
     hyp = (
@@ -458,7 +451,9 @@ def _thm_cq_generators(ctx: _Ctx) -> _Result:
     """For a nondegenerate domain whose generators satisfy the quotient
     condition (ab : a) <= radical(b), three statements agree: products of
     generators admit primary factorizations, the dimension is one, and
-    everything admits a primary factorization."""
+    everything admits a primary factorization.  Never applicable when
+    finite: an atom t of a domain has t*t = t (t*t <= t and t*t != 0),
+    lies in every generating set, and (t*t : t) = 1 is not below rad(t)."""
     L = ctx.L
     hyp = (
         ctx.profile.is_domain
@@ -476,7 +471,9 @@ def _thm_cq_generators(ctx: _Ctx) -> _Result:
 
 def _lemma_prime_principal(ctx: _Ctx) -> _Result:
     """A domain generated by principal elements whose primes are all
-    principal has every element a finite product of primes."""
+    principal has every element a finite product of primes.  Applicable
+    on the 2-chain only, as principal elements are join-principal (see
+    :func:`_cor_cq_dimension`)."""
     L = ctx.L
     principal = set(L.principal_elements())
     hyp = (
@@ -493,7 +490,8 @@ def _thm_dedekind(ctx: _Ctx) -> _Result:
     """For a domain generated by principal elements: every element is a
     finite product of primes iff every nonzero proper principal element
     has a prime-power factorization.  The two sides use independent
-    code paths (spectrum closure vs constructive factorization)."""
+    code paths (spectrum closure vs constructive factorization).
+    Applicable on the 2-chain only (see :func:`_lemma_prime_principal`)."""
     L = ctx.L
     if not (ctx.profile.is_domain and ctx.profile.generated_by_principal):
         return False, None, None
@@ -509,7 +507,8 @@ def _thm_dedekind(ctx: _Ctx) -> _Result:
 def _dedekind_dim1(ctx: _Ctx) -> _Result:
     """Everything a product of primes (with the standing hypotheses)
     forces dimension at most one.  A classical fact checked empirically
-    rather than assumed."""
+    rather than assumed.  Applicable on the 2-chain only, as the Dedekind
+    flag bundles the hypotheses of :func:`_lemma_prime_principal`."""
     if not ctx.classification.is_dedekind:
         return False, None, None
     return True, ctx.L.dimension() <= 1, None

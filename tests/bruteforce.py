@@ -12,7 +12,14 @@ import itertools
 
 from comaxlat.core import FiniteMultLattice
 from comaxlat.enumeration import OrderTable
-from comaxlat.factorize import FactorKind, Factorization, TopElement
+from comaxlat.factorize import (
+    FactorKind,
+    Factorization,
+    NoFactorization,
+    TopElement,
+    classify_lattice,
+    factor,
+)
 
 
 def radical_by_nilpotents(L: FiniteMultLattice, a: int) -> int:
@@ -273,6 +280,52 @@ def lemma_formulas_naive(L: FiniteMultLattice):
     return True, True, None
 
 
+def thm_cpr_sufficiency_naive(L: FiniteMultLattice, gens: tuple[int, ...]):
+    """The checker with hypothesis (2) scanned over every subset of the spectrum.
+
+    Generation is tested from its definition; hypothesis (3) and the
+    conclusion go through the public :func:`factor` and
+    :func:`classify_lattice`.
+    """
+    if not all(
+        L.join(g for g in gens if L.leq(g, x)) == x for x in L.elements()
+    ):
+        return False, None, None
+    minimal = set(L.min_primes(L.bottom))
+    hyp1 = all(
+        sum(1 for m in L.max_elements() if L.leq(p, m)) < L.n + 1
+        for p in L.spectrum()
+        if p not in minimal
+    )
+    hyp2 = True
+    spectrum = L.spectrum()
+    for a in L.elements():
+        if not hyp2:
+            break
+        for size in range(1, len(spectrum) + 1):
+            if not hyp2:
+                break
+            for ps in itertools.combinations(spectrum, size):
+                if all(not L.leq(a, p) for p in ps):
+                    if not any(
+                        L.leq(g, a) and all(not L.leq(g, p) for p in ps)
+                        for g in gens
+                    ):
+                        hyp2 = False
+                        break
+    hyp3 = True
+    for g in gens:
+        for h in gens:
+            if g != L.top and h != L.top:
+                try:
+                    factor(L, L.mul2(g, h), FactorKind.CPR)
+                except NoFactorization:
+                    hyp3 = False
+    if not (hyp1 and hyp2 and hyp3):
+        return False, None, None
+    return True, classify_lattice(L).is_cpr_lattice, None
+
+
 def comaximal_subsets_naive(L: FiniteMultLattice) -> list[tuple[int, ...]]:
     proper = L.proper_elements()
     out = []
@@ -312,3 +365,35 @@ def boolean_lattice(k: int) -> FiniteMultLattice:
     up = tuple(sum(1 << j for j in range(n) if i & j == i) for i in range(n))
     mul = [[i & j for j in range(n)] for i in range(n)]
     return FiniteMultLattice.from_tables(up, mul, 0, n - 1, name=f"B{n}")
+
+
+def chain_lattice(n: int) -> FiniteMultLattice:
+    """The n-element chain 0 < 1 < ... < n-1 with meet (minimum) as product;
+    every proper element is prime."""
+    up = tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
+    mul = [[min(i, j) for j in range(n)] for i in range(n)]
+    return FiniteMultLattice.from_tables(up, mul, 0, n - 1, name=f"C{n}")
+
+
+def product_lattice(A: FiniteMultLattice, B: FiniteMultLattice) -> FiniteMultLattice:
+    """The direct product A x B, ordered and multiplied componentwise;
+    element a * B.n + b is the pair (a, b)."""
+    pairs = [(a, b) for a in range(A.n) for b in range(B.n)]
+    up = tuple(
+        sum(
+            1 << k
+            for k, (c, d) in enumerate(pairs)
+            if A.leq(a, c) and B.leq(b, d)
+        )
+        for a, b in pairs
+    )
+    mul = [
+        [A.mul2(a, c) * B.n + B.mul2(b, d) for c, d in pairs] for a, b in pairs
+    ]
+    return FiniteMultLattice.from_tables(
+        up,
+        mul,
+        A.bottom * B.n + B.bottom,
+        A.top * B.n + B.top,
+        name=f"{A.name}x{B.name}",
+    )

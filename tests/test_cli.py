@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bruteforce import boolean_lattice
+from bruteforce import boolean_lattice, chain_lattice
 from comaxlat.cli import main
 from comaxlat.latfile import serialize_spec
 from comaxlat.presets import PRESET_NAMES
@@ -167,13 +167,22 @@ def test_theorems_output_format(capsys, preset_file):
     assert main(["theorems", str(path), "--generators", "a,zz"]) == 2
 
 
-def test_theorems_on_the_32_element_boolean_lattice(capsys, tmp_path):
-    # 2**31 subsets of proper elements, but only 202 pairwise comaximal sets
-    path = tmp_path / "B32.json"
-    path.write_text(serialize_spec(boolean_lattice(5).to_spec()))
+@pytest.mark.parametrize(
+    "lattice, line",
+    [
+        # 2**31 subsets of proper elements, but only 202 pairwise comaximal sets
+        (boolean_lattice(5), "thm_unique_lift hypotheses=y conclusion=pass"),
+        # 39 primes: hypothesis (2) is decided without visiting their 2**39 subsets
+        (chain_lattice(40), "thm_cpr_sufficiency hypotheses=y conclusion=pass"),
+    ],
+    ids=["B32", "C40"],
+)
+def test_theorems_on_large_lattices(capsys, tmp_path, lattice, line):
+    path = tmp_path / f"{lattice.name}.json"
+    path.write_text(serialize_spec(lattice.to_spec()))
     assert main(["theorems", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "thm_unique_lift hypotheses=y conclusion=pass" in lines
+    assert line in lines
     assert lines[-1] == "overall=pass"
 
 

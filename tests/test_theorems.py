@@ -1,6 +1,7 @@
 """Theorem suite: per-entry golden cases and whole-suite soundness."""
 
 import copy
+import dataclasses
 import random
 from collections import Counter
 
@@ -12,16 +13,20 @@ from bruteforce import (
     lemma_comaximal_naive,
     lemma_formulas_naive,
     oracle_factorizations_naive,
+    product_lattice,
+    thm_cpr_sufficiency_naive,
 )
 from comaxlat.core import LatticeSpec, validate_lattice
+from comaxlat.enumeration import enumerated_universe
 from comaxlat.factorize import (
     FactorKind,
     NoFactorization,
+    classify_lattice,
     comaximal_sets,
     factor,
     oracle_factorizations,
 )
-from comaxlat.presets import preset
+from comaxlat.presets import PRESET_NAMES, preset
 from comaxlat.theorems import (
     THEOREM_IDS,
     UnknownTheoremId,
@@ -157,6 +162,29 @@ _NAIVE_ENTRIES = {
 }
 
 
+def _assert_sufficiency_matches_naive(L) -> int:
+    """Compare thm_cpr_sufficiency with its subset-scanning twin for the
+    generator sets all, principal, the join-irreducibles, and those plus
+    the top; return how many of them leave it not-applicable.  The top
+    lies below no prime, so only the last set shows whether the checker
+    requires the generator to lie below the element.
+    """
+    na = 0
+    ji = L.join_irreducibles()
+    ji_top = (*ji, L.top)
+    for G, gens in (
+        ("all", tuple(L.elements())),
+        ("principal", L.principal_elements()),
+        (ji, ji),
+        (ji_top, ji_top),
+    ):
+        want = thm_cpr_sufficiency_naive(L, gens)
+        e = check_entry(L, "thm_cpr_sufficiency", G)
+        assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == want, (L.name, G)
+        na += not want[0]
+    return na
+
+
 def _assert_kernels_match_naive(L) -> set[str]:
     """Compare each kernel with its naive twin; return the failing entries."""
     failing = set()
@@ -183,8 +211,11 @@ def _assert_kernels_match_naive(L) -> set[str]:
 def test_kernels_match_naive_twins(universe_deep, all_presets):
     # the Boolean lattice has many comaximal sets of each size, so the
     # order of the clique walk is compared as well as its contents
+    na = 0
     for L in [*universe_deep, *all_presets, boolean_lattice(4)]:
         assert not _assert_kernels_match_naive(L)
+        na += _assert_sufficiency_matches_naive(L)
+    assert na > 0
 
 
 def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
@@ -204,6 +235,53 @@ def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
                 setattr(C, table, tuple(map(tuple, rows)))
                 failing.update(_assert_kernels_match_naive(C))
     assert failing["lemma_comaximal"] > 0 and failing["lemma_formulas"] > 0, failing
+
+
+def test_direct_products_follow_their_components():
+    # A x B is never a domain (and so never Dedekind); its primes are those
+    # of A paired with the top of B and vice versa, so the other flags are
+    # the AND of the components' and the dimension is the larger one.
+    rng = random.Random(2021)
+    components = [*enumerated_universe(4), *(preset(p) for p in PRESET_NAMES)]
+    for _ in range(20):
+        A, B = rng.choice(components), rng.choice(components)
+        spec = product_lattice(A, B).to_spec()
+        elements = list(spec.elements)
+        rng.shuffle(elements)
+        P = validate_lattice(dataclasses.replace(spec, elements=tuple(elements)))
+        assert run_theorem_suite(P).overall_pass, P.name
+        got, a, b = classify_lattice(P), classify_lattice(A), classify_lattice(B)
+        for flag in ("is_cpr_lattice", "is_cq_lattice", "is_cpp_lattice", "is_treed"):
+            assert getattr(got, flag) == (getattr(a, flag) and getattr(b, flag)), (
+                P.name, flag
+            )
+        assert got.dimension == max(a.dimension, b.dimension), P.name
+        assert not got.is_domain and not got.is_dedekind, P.name
+
+
+# The facts that make five checkers not-applicable on finite lattices
+# (see their docstrings): a domain's atoms are idempotent, and in a
+# domain with more than two elements only the bounds are join-principal.
+
+
+def _domains(lattices, min_size=2):
+    domains = [L for L in lattices if L.lattice_profile().is_domain and L.n >= min_size]
+    assert domains
+    return domains
+
+
+def test_domain_atoms_are_idempotent(universe_deep, all_presets):
+    for L in _domains([*universe_deep, *all_presets]):
+        for t in L.elements():
+            if L.lower_covers(t) == (L.bottom,):
+                assert L.mul2(t, t) == t, (L.name, t)
+
+
+def test_domains_have_no_proper_nonzero_join_principal_element(
+    universe_deep, all_presets
+):
+    for L in _domains([*universe_deep, *all_presets], min_size=3):
+        assert set(L.join_principal_elements()) <= {L.bottom, L.top}, L.name
 
 
 # Per-checker (pass, fail, not-applicable) tally over the 723 size-7
