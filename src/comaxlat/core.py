@@ -368,9 +368,10 @@ class FiniteMultLattice:
         return cls(name, labels, tuple(closed), join, meet, mul, bottom, top)
 
     def _build_caches(self) -> None:
-        # Keep fewer than 30 instance attributes in all: from 30 on, CPython
-        # 3.11 stops sharing instance-dict keys between lattices, and every
-        # attribute lookup in the methods below gets about 1.5x slower.
+        # A lattice has 24 instance attributes.  Keep fewer than 30: from 30
+        # on, CPython 3.11 stops sharing instance-dict keys between lattices,
+        # and every attribute lookup in the methods below gets about 1.5x
+        # slower.
         n = self.n
         mul = self._mul
         join = self._join
@@ -418,8 +419,14 @@ class FiniteMultLattice:
             chains.append(tuple(chain))
         self._powers = tuple(chains)
 
-        self._primes = tuple(p for p in range(n) if p != top and self._prime_scan(p))
-        self._prime_mask = _mask(self._primes)
+        # (e : x) lies above e, as e*x <= e, and "a*x <= e forces a <= e"
+        # says (e : x) <= e.  So p is prime iff the quotient fixes p off
+        # down[p], and q is primary iff it fixes q off down[rad q].
+        def fixed_off(e: int, d: int) -> bool:
+            return all(v == e for x, v in enumerate(quot[e]) if not d >> x & 1)
+
+        self._primes = tuple(p for p in range(n) if p != top and fixed_off(p, down[p]))
+        self._prime_mask = primes = _mask(self._primes)
         self._maximal_mask = _mask(
             i for i in range(n) if i != top and up[i] & ~(1 << i) == 1 << top
         )
@@ -429,31 +436,13 @@ class FiniteMultLattice:
                 assert up[x] & self._maximal_mask
         assert self._primes, "the spectrum of a finite lattice is nonempty"
 
-        rad = []
-        for a in range(n):
-            m = self.top
-            ps = self._prime_mask & up[a]
-            while ps:
-                p = (ps & -ps).bit_length() - 1
-                m = meet[m][p]
-                ps &= ps - 1
-            rad.append(m)
-        self._radical = tuple(rad)
-
+        self._radical = tuple(self.meet(_members(primes & up[a])) for a in range(n))
         self._min_primes = tuple(
-            tuple(
-                p
-                for p in self._primes
-                if self.leq(a, p)
-                and not any(
-                    q != p and self.leq(a, q) and self.leq(q, p) for q in self._primes
-                )
-            )
-            for a in range(n)
+            tuple(p for p in _members(above) if above & down[p] == 1 << p)
+            for above in (primes & up[a] for a in range(n))
         )
-
         self._primary_mask = _mask(
-            q for q in range(n) if q != top and self._primary_scan(q)
+            q for q in range(n) if q != top and fixed_off(q, down[self._radical[q]])
         )
 
         pp: list[Optional[tuple[int, int]]] = [None] * n
@@ -464,55 +453,30 @@ class FiniteMultLattice:
         self._prime_power = tuple(pp)
 
         self._mp_mask = _mask(m for m in range(n) if self._mp_scan(m))
-        self._wmp_mask = _mask(m for m in range(n) if self._wmp_scan(m))
         self._jp_mask = _mask(j for j in range(n) if self._jp_scan(j))
-        self._wjp_mask = _mask(j for j in range(n) if self._wjp_scan(j))
 
         # dimension: longest strict chain (edge count) in the prime poset
         height: dict[int, int] = {}
         for p in sorted(self._primes, key=lambda q: bin(down[q]).count("1")):
             height[p] = max(
-                (height[q] + 1 for q in self._primes if q != p and self.leq(q, p)),
+                (height[q] + 1 for q in _members(primes & down[p] & ~(1 << p))),
                 default=0,
             )
         self._dimension = max(height.values())
 
-        principal = self._mp_mask & self._jp_mask
-        gbp = all(self.join(_members(principal & down[x])) == x for x in range(n))
         self._profile = LatticeProfile(
-            is_domain=bool(self._prime_mask >> bottom & 1),
+            is_domain=bool(primes >> bottom & 1),
             is_treed=all(
                 self.comaximal(p, q)
                 for p, q in itertools.combinations(self._primes, 2)
                 if not self.leq(p, q) and not self.leq(q, p)
             ),
-            generated_by_principal=gbp,
+            generated_by_principal=self.generates(
+                _members(self._mp_mask & self._jp_mask)
+            ),
         )
 
     # -- predicate scans ----------------------------------------------
-
-    def _prime_scan(self, p: int) -> bool:
-        dp = self._down[p]
-        mul = self._mul
-        for x in range(self.n):
-            if dp >> x & 1:
-                continue
-            row = mul[x]
-            for y in range(x, self.n):
-                if dp >> row[y] & 1 and not dp >> y & 1:
-                    return False
-        return True
-
-    def _primary_scan(self, q: int) -> bool:
-        dq = self._down[q]
-        dr = self._down[self._radical[q]]
-        mul = self._mul
-        for x in range(self.n):
-            row = mul[x]
-            for y in range(self.n):
-                if dq >> row[y] & 1 and not (dq >> x & 1 or dr >> y & 1):
-                    return False
-        return True
 
     def _mp_scan(self, m: int) -> bool:
         # a /\ b*m == ((a:m) /\ b) * m for all a, b
@@ -656,6 +620,11 @@ class FiniteMultLattice:
         """
         return tuple(x for x in range(self.n) if len(self.lower_covers(x)) == 1)
 
+    def generates(self, gens: Iterable[Elt]) -> bool:
+        """Whether every element is the join of the members of ``gens`` below it."""
+        g = _mask(gens)
+        return all(self.join(_members(g & self._down[x])) == x for x in range(self.n))
+
     def lower_covers(self, x: Elt) -> tuple[Elt, ...]:
         below = self._down[x] & ~(1 << x)
         covers = []
@@ -682,9 +651,9 @@ class FiniteMultLattice:
             prime_power_witness=witness,
             is_compact=True,
             is_meet_principal=mp,
-            is_weak_meet_principal=bool(self._wmp_mask >> x & 1),
+            is_weak_meet_principal=self._wmp_scan(x),
             is_join_principal=jp,
-            is_weak_join_principal=bool(self._wjp_mask >> x & 1),
+            is_weak_join_principal=self._wjp_scan(x),
             is_principal=mp and jp,
         )
 

@@ -73,7 +73,6 @@ __all__ = [
     "canonical_form",
     "search",
     "PREDICATES",
-    "quotient_hypothesis_holds",
 ]
 
 DEFAULT_SIZE_CAP = 6
@@ -491,44 +490,16 @@ def enumerated_universe(
     return tuple(L for n in range(1, size_max + 1) for L in _UNIVERSE_CACHE[n])
 
 
-def quotient_hypothesis_holds(
-    L: FiniteMultLattice, gens: tuple[Elt, ...]
-) -> bool:
-    """(a*b : a) below the radical of b, for all nonzero a, b among ``gens``."""
-    return all(
-        L.leq(L.quotient(L.mul2(a, b), a), L.radical(b))
-        for a in gens
-        for b in gens
-        if a != L.bottom and b != L.bottom
-    )
+# Named predicates, each an expression in the grammar of _compile_predicate.
+PREDICATES: dict[str, str] = {"not_cpr": "!cpr", "cq_dim_ge_2": "cq&dim>=2"}
 
-
-def _thm15_nontrivial(L: FiniteMultLattice, rep: ClassificationReport) -> bool:
-    # a domain of size >= 3 admitting a generating set that satisfies the
-    # quotient condition; the join-irreducibles are the smallest generating
-    # set, so checking them decides existence.
-    return (
-        rep.is_domain
-        and L.n >= 3
-        and quotient_hypothesis_holds(L, L.join_irreducibles())
-    )
-
-
-# Named predicates that the generic rules below do not already express.
-PREDICATES: dict[str, Callable[[FiniteMultLattice, ClassificationReport], bool]] = {
-    "not_cpr": lambda L, r: not r.is_cpr_lattice,
-    "cq_dim_ge_2": lambda L, r: r.is_cq_lattice and r.dimension >= 2,
-    "thm15_hypothesis_nontrivial": _thm15_nontrivial,
-}
-
-_FLAG_ATOMS: dict[str, Callable[[FiniteMultLattice, ClassificationReport], bool]] = {
-    "cpr": lambda L, r: r.is_cpr_lattice,
-    "cq": lambda L, r: r.is_cq_lattice,
-    "cpp": lambda L, r: r.is_cpp_lattice,
-    "treed": lambda L, r: r.is_treed,
-    "domain": lambda L, r: r.is_domain,
-    "dedekind": lambda L, r: r.is_dedekind,
-    "thm15": _thm15_nontrivial,
+_FLAG_ATOMS: dict[str, Callable[[ClassificationReport], bool]] = {
+    "cpr": lambda r: r.is_cpr_lattice,
+    "cq": lambda r: r.is_cq_lattice,
+    "cpp": lambda r: r.is_cpp_lattice,
+    "treed": lambda r: r.is_treed,
+    "domain": lambda r: r.is_domain,
+    "dedekind": lambda r: r.is_dedekind,
 }
 
 
@@ -541,41 +512,37 @@ def _dimension_bound(name: str, text: str) -> int:
         ) from None
 
 
-def _compile_predicate(
-    name: str,
-) -> Callable[[FiniteMultLattice, ClassificationReport], bool]:
-    """Look up a named predicate or compile a conjunction expression.
+def _compile_predicate(name: str) -> Callable[[ClassificationReport], bool]:
+    """Compile a named predicate, a separation or a conjunction expression.
 
-    ``<flag>_not_<flag>`` separations work for any pair of flags.
     General expressions join atoms with ``&``; an atom is a flag name
     (optionally negated with ``!``), ``dim=K`` or ``dim>=K``, e.g.
-    ``cpr&!cq&!cpp``.
+    ``cpr&!cq&!cpp``.  A named predicate stands for its expression in
+    :data:`PREDICATES`, and a separation ``<flag>_not_<flag>`` for
+    ``<flag>&!<flag>``.
     """
-    if name in PREDICATES:
-        return PREDICATES[name]
-    if "_not_" in name:
-        has, lacks = name.split("_not_", 1)
-        if has in _FLAG_ATOMS and lacks in _FLAG_ATOMS:
-            f, g = _FLAG_ATOMS[has], _FLAG_ATOMS[lacks]
-            return lambda L, r: f(L, r) and not g(L, r)
-    conj: list[Callable[[FiniteMultLattice, ClassificationReport], bool]] = []
-    for raw in name.split("&"):
+    expr = PREDICATES.get(name, name)
+    has, sep, lacks = name.partition("_not_")
+    if sep and has in _FLAG_ATOMS and lacks in _FLAG_ATOMS:
+        expr = f"{has}&!{lacks}"
+    conj: list[tuple[bool, Callable[[ClassificationReport], bool]]] = []
+    for raw in expr.split("&"):
         atom = raw.strip()
         negate = atom.startswith("!")
         if negate:
             atom = atom[1:]
         if atom.startswith("dim>="):
             k = _dimension_bound(name, atom[5:])
-            fn: Callable = lambda L, r, k=k: r.dimension >= k
+            fn: Callable = lambda r, k=k: r.dimension >= k
         elif atom.startswith("dim="):
             k = _dimension_bound(name, atom[4:])
-            fn = lambda L, r, k=k: r.dimension == k
+            fn = lambda r, k=k: r.dimension == k
         elif atom in _FLAG_ATOMS:
             fn = _FLAG_ATOMS[atom]
         else:
             raise UnknownPredicate(f"unknown predicate {name!r} (atom {atom!r})")
-        conj.append((lambda f: (lambda L, r: not f(L, r)))(fn) if negate else fn)
-    return lambda L, r: all(f(L, r) for f in conj)
+        conj.append((negate, fn))
+    return lambda r: all(f(r) != negate for negate, f in conj)
 
 
 @dataclass(frozen=True)
@@ -600,7 +567,7 @@ def search(
     out = []
     for L in enumerated_universe(query.size_max, size_cap=cap, workers=workers):
         rep = classify_lattice(L)
-        if pred is None or pred(L, rep):
+        if pred is None or pred(rep):
             out.append((L, rep))
             if query.limit is not None and len(out) >= query.limit:
                 break

@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .core import Elt, FiniteMultLattice, LatticeError
-from .enumeration import quotient_hypothesis_holds
 from .factorize import (
     FactorKind,
     _classify,
@@ -147,15 +146,9 @@ class _Ctx:
                     products |= 1 << L.mul2(g, h)
         return frozenset(k for k, mask in self.kinds.items() if not products & ~mask)
 
-    def generates(self, gens: tuple[Elt, ...]) -> bool:
-        L = self.L
-        return all(
-            L.join(g for g in gens if L.leq(g, x)) == x for x in L.elements()
-        )
-
     @cached_property
     def gens_generate(self) -> bool:
-        return self.generates(self.gens)
+        return self.L.generates(self.gens)
 
 
 def _resolve_generators(L: FiniteMultLattice, G: Generators) -> tuple[Elt, ...]:
@@ -429,11 +422,10 @@ def _cor_cq_dimension(ctx: _Ctx) -> _Result:
     has (a*j : j) = a for all a, so a = j^(m-1) with m least such that
     j^m = j^(m+1) gives j = 1, and the bounds generate only the 2-chain."""
     L = ctx.L
-    jp = L.join_principal_elements()
     hyp = (
         ctx.profile.is_domain
         and L.n > 2
-        and ctx.generates(jp)
+        and L.generates(L.join_principal_elements())
     )
     if not hyp:
         return False, None, None
@@ -445,6 +437,16 @@ def _lemma_cq_sufficient(ctx: _Ctx) -> _Result:
     if not (ctx.profile.is_domain and ctx.L.dimension() == 1):
         return False, None, None
     return True, ctx.classification.is_cq_lattice, None
+
+
+def _quotient_hypothesis_holds(L: FiniteMultLattice, gens: tuple[Elt, ...]) -> bool:
+    """(a*b : a) below the radical of b, for all nonzero a, b among ``gens``."""
+    return all(
+        L.leq(L.quotient(L.mul2(a, b), a), L.radical(b))
+        for a in gens
+        for b in gens
+        if a != L.bottom and b != L.bottom
+    )
 
 
 def _thm_cq_generators(ctx: _Ctx) -> _Result:
@@ -459,7 +461,7 @@ def _thm_cq_generators(ctx: _Ctx) -> _Result:
         ctx.profile.is_domain
         and L.n > 2
         and ctx.gens_generate
-        and quotient_hypothesis_holds(L, ctx.gens)
+        and _quotient_hypothesis_holds(L, ctx.gens)
     )
     if not hyp:
         return False, None, None

@@ -35,6 +35,48 @@ def radical_by_nilpotents(L: FiniteMultLattice, a: int) -> int:
     return L.join(members)
 
 
+def is_prime_naive(L: FiniteMultLattice, p: int) -> bool:
+    """p is proper and x*y <= p forces x <= p or y <= p."""
+    return p != L.top and all(
+        L.leq(x, p) or L.leq(y, p)
+        for x in range(L.n)
+        for y in range(L.n)
+        if L.leq(L.mul2(x, y), p)
+    )
+
+
+def is_primary_naive(L: FiniteMultLattice, q: int) -> bool:
+    """q is proper and x*y <= q forces x <= q or y <= rad(q)."""
+    r = radical_by_nilpotents(L, q)
+    return q != L.top and all(
+        L.leq(x, q) or L.leq(y, r)
+        for x in range(L.n)
+        for y in range(L.n)
+        if L.leq(L.mul2(x, y), q)
+    )
+
+
+def min_primes_naive(L: FiniteMultLattice, a: int) -> tuple[int, ...]:
+    """The primes above a with no other prime between a and them."""
+    above = [p for p in range(L.n) if is_prime_naive(L, p) and L.leq(a, p)]
+    return tuple(
+        p for p in above if not any(q != p and L.leq(q, p) for q in above)
+    )
+
+
+def dimension_naive(L: FiniteMultLattice) -> int:
+    """The number of steps in a longest strict chain of primes."""
+    primes = [p for p in range(L.n) if is_prime_naive(L, p)]
+
+    def longest_from(p: int) -> int:
+        return max(
+            (1 + longest_from(q) for q in primes if q != p and L.leq(p, q)),
+            default=0,
+        )
+
+    return max(longest_from(p) for p in primes)
+
+
 def count_bounded_lattices(n: int) -> int:
     """Poset-filter oracle: count bounded lattice orders up to isomorphism.
 

@@ -311,15 +311,19 @@ def test_search_dedekind_is_exactly_the_two_chain():
     assert [L.n for L, _ in hits] == [2]
 
 
-def test_search_quotient_hypothesis_reported_absent_at_small_sizes(capsys):
-    hits = search(SearchQuery(size_max=6, predicate="thm15_hypothesis_nontrivial"))
-    print(f"nontrivial quotient-hypothesis examples at size <= 6: {len(hits)}")
-    # if one ever shows up, its three equivalent conditions must agree
-    from comaxlat.theorems import check_entry
-
-    for L, _rep in hits:
-        entry = check_entry(L, "thm_cq_generators")
-        assert entry.conclusion_holds is not False
+def test_quotient_condition_predicates_are_unknown(capsys):
+    # No finite domain with n >= 3 satisfies the quotient condition of
+    # thm_cq_generators (an atom t has t*t = t, so (t*t : t) = 1 is not
+    # below rad t), so no search predicate tests it.
+    for name in ("thm15_hypothesis_nontrivial", "thm15"):
+        with pytest.raises(UnknownPredicate):
+            search(SearchQuery(size_max=4, predicate=name))
+        assert main(["enumerate", "--size", "3", "--predicate", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: unknown predicate {name!r} (atom {name!r})\n"
+        )
+        assert captured.out == ""
 
 
 def test_search_custom_conjunctions():

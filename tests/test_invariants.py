@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import radical_by_nilpotents
+from bruteforce import (
+    boolean_lattice,
+    chain_lattice,
+    dimension_naive,
+    is_primary_naive,
+    is_prime_naive,
+    min_primes_naive,
+    radical_by_nilpotents,
+)
 from comaxlat.core import LatticeSpec, validate_lattice
 from comaxlat.enumeration import canonical_form
 from comaxlat.factorize import classify_lattice
@@ -94,6 +102,17 @@ def test_prime_implies_primary_implies_prime_radical(lattices):
                 assert p.is_primary
             if p.is_primary:
                 assert L.is_prime(L.radical(x))
+
+
+@pytest.mark.parametrize("universe", ["universe_deep", "universe7"])
+def test_spectrum_matches_naive_twins(request, universe, all_presets):
+    lattices = list(request.getfixturevalue(universe)) + list(all_presets)
+    for L in lattices + [boolean_lattice(4), chain_lattice(8)]:
+        for x in L.elements():
+            assert L.is_prime(x) == is_prime_naive(L, x), (L.name, x)
+            assert L.is_primary(x) == is_primary_naive(L, x), (L.name, x)
+            assert L.min_primes(x) == min_primes_naive(L, x), (L.name, x)
+        assert L.dimension() == dimension_naive(L), L.name
 
 
 def test_products_of_principal_elements_are_principal(lattices):
