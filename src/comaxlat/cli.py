@@ -137,7 +137,7 @@ def cmd_enumerate(args) -> int:
     if args.size < 1:
         print(f"error: size must be at least 1, got {args.size}", file=sys.stderr)
         return 2
-    if args.allow_size_7 and args.size >= 7:
+    if args.allow_size_7 and args.size == 7:
         print("warning: size-7 enumeration may take a while", file=sys.stderr)
     query = SearchQuery(
         args.size, args.predicate or None, allow_size_7=args.allow_size_7

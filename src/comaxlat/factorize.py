@@ -207,8 +207,9 @@ def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
 
 def comaximal_sets(
     L: FiniteMultLattice, candidates: Sequence[Elt]
-) -> Iterator[tuple[Elt, ...]]:
-    """Every nonempty pairwise comaximal set drawn from ``candidates``.
+) -> Iterator[tuple[tuple[Elt, ...], Elt]]:
+    """Every nonempty pairwise comaximal set drawn from ``candidates``,
+    with its product.
 
     The sets are the cliques of the comaximality graph on the
     candidates, walked level by level: a set is only ever extended by a
@@ -218,7 +219,8 @@ def comaximal_sets(
     lexicographic order of candidate positions, exactly as filtering
     ``itertools.combinations`` by pairwise comaximality would list
     them; each pair ``(p, q)`` is tested as ``L.comaximal(p, q)`` with
-    ``p`` before ``q`` in ``candidates``.
+    ``p`` before ``q`` in ``candidates``.  The product is ``L.mul`` of
+    the set, folded from the top as the set is extended.
     """
     m = len(candidates)
     # later[i]: positions j > i whose candidate is comaximal to the i-th
@@ -228,17 +230,32 @@ def comaximal_sets(
         )
         for i in range(m)
     ]
-    # each level holds (positions, positions that may extend the set)
-    level = [((i,), later[i]) for i in range(m)]
+    # each level holds (positions, positions that may extend the set, product)
+    level = [((i,), later[i], L.mul2(L.top, c)) for i, c in enumerate(candidates)]
     while level:
         nxt = []
-        for positions, ext in level:
-            yield tuple(candidates[i] for i in positions)
+        for positions, ext, prod in level:
+            yield tuple(candidates[i] for i in positions), prod
             while ext:
                 j = (ext & -ext).bit_length() - 1
-                nxt.append((positions + (j,), ext & later[j]))
+                nxt.append(
+                    (positions + (j,), ext & later[j], L.mul2(prod, candidates[j]))
+                )
                 ext &= ext - 1
         level = nxt
+
+
+def _oracle_candidates(L: FiniteMultLattice, kind: FactorKind) -> list[Elt]:
+    """The proper elements satisfying the kind's factor condition."""
+
+    def condition(f: Elt) -> bool:
+        if kind is FactorKind.CPR:
+            return L.is_prime(L.radical(f))
+        if kind is FactorKind.CQ:
+            return L.is_primary(f)
+        return L.prime_power_witness(f) is not None
+
+    return [f for f in L.proper_elements() if condition(f)]
 
 
 def oracle_factorizations(
@@ -255,20 +272,26 @@ def oracle_factorizations(
     """
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
-
-    def condition(f: Elt) -> bool:
-        if kind is FactorKind.CPR:
-            return L.is_prime(L.radical(f))
-        if kind is FactorKind.CQ:
-            return L.is_primary(f)
-        return L.prime_power_witness(f) is not None
-
-    candidates = [f for f in L.proper_elements() if condition(f)]
     return [
         Factorization(kind=kind, target=a, factors=subset)
-        for subset in comaximal_sets(L, candidates)
-        if L.mul(subset) == a
+        for subset, prod in comaximal_sets(L, _oracle_candidates(L, kind))
+        if prod == a
     ]
+
+
+def _oracle_table(
+    L: FiniteMultLattice, kind: FactorKind
+) -> dict[Elt, list[Factorization]]:
+    """:func:`oracle_factorizations` of every proper element, from one walk.
+
+    Each set of the walk is filed under its product, so every list
+    keeps the walk's order.
+    """
+    table: dict[Elt, list[Factorization]] = {a: [] for a in L.proper_elements()}
+    for subset, prod in comaximal_sets(L, _oracle_candidates(L, kind)):
+        if prod in table:  # the top, as in oracle_factorizations, has none
+            table[prod].append(Factorization(kind=kind, target=prod, factors=subset))
+    return table
 
 
 def _factor_kinds(L: FiniteMultLattice) -> dict[FactorKind, int]:

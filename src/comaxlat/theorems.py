@@ -22,19 +22,21 @@ evaluated concurrently; the report lists them in the fixed order of
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence, Union
 
-from .core import Elt, FiniteMultLattice, LatticeError
+from .core import Elt, FiniteMultLattice, LatticeError, _mask, _members
 from .factorize import (
     FactorKind,
+    Factorization,
     _classify,
     _factor_kinds,
+    _oracle_table,
     classify_lattice,  # unused here; perfbench/tracing.py wraps it by name
     comaximal_sets,
     factor,  # unused here; perfbench/tracing.py wraps it by name
-    oracle_factorizations,
     refine_by_radical,
 )
 
@@ -117,6 +119,13 @@ class _Ctx:
     def __init__(self, L: FiniteMultLattice, gens: tuple[Elt, ...]):
         self.L = L
         self.gens = gens
+        self._oracle: dict[FactorKind, dict[Elt, list[Factorization]]] = {}
+
+    def oracle(self, kind: FactorKind) -> dict[Elt, list[Factorization]]:
+        """``oracle_factorizations`` of every proper element, from one walk."""
+        if kind not in self._oracle:
+            self._oracle[kind] = _oracle_table(self.L, kind)
+        return self._oracle[kind]
 
     @cached_property
     def kinds(self) -> dict[FactorKind, int]:
@@ -179,33 +188,66 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     comaximal is invariant under radicals and under powers (some pair of
     powers works iff all do); (iii) an element comaximal to each of
     c1..ck is comaximal to their product (k = 2, 3 exhaustively; larger
-    k follows by induction from k = 2).  Part (iii) ranges the ci over
-    the elements comaximal to a only: every other tuple fails the
-    hypothesis, and the subsequence keeps the order, so the first
-    failing tuple is the one the full product over the lattice reaches.
+    k follows by induction from k = 2).
+
+    Everything reads the masks ``cm[a]`` of the elements comaximal to
+    ``a``: the powers of ``b`` are comaximal to all powers of ``a`` iff
+    they lie in the AND of the ``cm`` of those powers, and one pair is
+    iff they meet the OR.  Part (iii) ranges the ci over ``cm[a]`` only,
+    since every other tuple fails the hypothesis, and folds the product
+    from the top as ``L.mul`` does.  The first failing tail of a partial
+    product depends only on ``a``, the product so far and the number of
+    factors left, so it is found once per such triple; visiting the ci
+    in index order reports the same first failing tuple as the full
+    product over the lattice.
     """
     L = ctx.L
-    for a in L.elements():
-        for b in L.elements():
-            c1 = L.comaximal(a, b)
-            if c1 and (
-                L.meet2(a, b) != L.mul2(a, b) or L.quotient(a, b) != a
+    els = L.elements()
+    cm = [_mask(c for c in els if L.comaximal(a, c)) for a in els]
+    chain = [_mask(L.power_chain(a)) for a in els]
+    every = [reduce(operator.and_, (cm[x] for x in L.power_chain(a))) for a in els]
+    some = [reduce(operator.or_, (cm[x] for x in L.power_chain(a))) for a in els]
+    rad = [L.radical(a) for a in els]
+    for a in els:
+        row, rad_row, all_mask, any_mask = cm[a], cm[rad[a]], every[a], some[a]
+        for b in els:
+            c1 = bool(row >> b & 1)
+            if c1 and (L.meet2(a, b) != L.mul2(a, b) or L.quotient(a, b) != a):
+                return True, False, (a, b)
+            powers = chain[b]
+            if not (
+                c1
+                == bool(rad_row >> rad[b] & 1)
+                == (not powers & ~all_mask)
+                == bool(powers & any_mask)
             ):
                 return True, False, (a, b)
-            c2 = L.comaximal(L.radical(a), L.radical(b))
-            powers = [
-                L.comaximal(ai, bj)
-                for ai in L.power_chain(a)
-                for bj in L.power_chain(b)
-            ]
-            if not (c1 == c2 == all(powers) == any(powers)):
-                return True, False, (a, b)
+
+    mul = [[L.mul2(r, c) for c in els] for r in els]
+    comax = [_members(row) for row in cm]
+    memo: dict[tuple[Elt, Elt, int], Optional[tuple[Elt, ...]]] = {}
+
+    def failing(a: Elt, r: Elt, k: int) -> Optional[tuple[Elt, ...]]:
+        """The first k-tuple cs from comax[a] with r*cs not comaximal to a."""
+        key = (a, r, k)
+        if key not in memo:
+            row, mr, found = cm[a], mul[r], None
+            for c in comax[a]:
+                if k == 1:
+                    tail = None if row >> mr[c] & 1 else ()
+                else:
+                    tail = failing(a, mr[c], k - 1)
+                if tail is not None:
+                    found = (c, *tail)
+                    break
+            memo[key] = found
+        return memo[key]
+
     for k in (2, 3):
-        for a in L.elements():
-            comax = [c for c in L.elements() if L.comaximal(a, c)]
-            for cs in itertools.product(comax, repeat=k):
-                if not L.comaximal(a, L.mul(cs)):
-                    return True, False, (a, *cs)
+        for a in els:
+            cs = failing(a, L.top, k)
+            if cs is not None:
+                return True, False, (a, *cs)
     return True, True, None
 
 
@@ -222,25 +264,53 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
     comparison is made once per ordered pair of distinct sequences,
     each standing for its first pair (b, c) in index order; visiting
     the sequences in that order reports the same first failing tuple
-    as the loop over all 4-tuples.
+    as the loop over all 4-tuples.  Each pair is padded to its own
+    longer length (a join need not be idempotent in a table that breaks
+    the axioms), so each sequence keeps its padded form and that form's
+    join, folded from the bottom as ``L.join`` does, for every length
+    it meets.
     """
     L = ctx.L
-    els = range(L.n)
+    els = L.elements()
+    bottom = L.bottom
+    quot = [[L.quotient(y, x) for x in els] for y in els]
+    join = [[L.join2(x, y) for y in els] for x in els]
+    meet = [[L.meet2(x, y) for y in els] for x in els]
+    chains = [L.power_chain(c) for c in els]
     firsts: dict[tuple[Elt, ...], tuple[Elt, Elt]] = {}
-    for b, c in itertools.product(els, repeat=2):
-        seq = tuple(L.quotient(b, ck) for ck in L.power_chain(c))
-        firsts.setdefault(seq, (b, c))
-        rhs = L.radical(L.join(seq))
-        if L.quotient(L.radical(b), c) != rhs:
-            return True, False, (b, c)
-    for k1, first1 in firsts.items():
-        for k2, first2 in firsts.items():
-            kk = max(len(k1), len(k2))
-            s1 = [k1[min(i, len(k1) - 1)] for i in range(kk)]
-            s2 = [k2[min(i, len(k2) - 1)] for i in range(kk)]
-            lhs = L.meet2(L.join(s1), L.join(s2))
-            rhs = L.join(L.meet2(x, y) for x, y in zip(s1, s2))
-            if lhs != rhs:
+    for b in els:
+        qb, rb = quot[b], quot[L.radical(b)]
+        for c in els:
+            seq = tuple(qb[ck] for ck in chains[c])
+            firsts.setdefault(seq, (b, c))
+            r = bottom
+            for x in seq:
+                r = join[r][x]
+            if rb[c] != L.radical(r):
+                return True, False, (b, c)
+
+    lengths = {len(seq) for seq in firsts}
+    # forms[i] = (length, {padded length: (padded form, its join)}, first pair)
+    forms = []
+    for seq, first in firsts.items():
+        padded = {}
+        for kk in lengths:
+            if kk >= len(seq):
+                form = seq + seq[-1:] * (kk - len(seq))
+                r = bottom
+                for x in form:
+                    r = join[r][x]
+                padded[kk] = form, r
+        forms.append((len(seq), padded, first))
+    for len1, padded1, first1 in forms:
+        for len2, padded2, first2 in forms:
+            kk = len1 if len1 > len2 else len2
+            s1, j1 = padded1[kk]
+            s2, j2 = padded2[kk]
+            r = bottom
+            for x, y in zip(s1, s2):
+                r = join[r][meet[x][y]]
+            if meet[j1][j2] != r:
                 return True, False, (*first1, *first2)
     return True, True, None
 
@@ -255,17 +325,19 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     are radical too.  The decompositions are the pairwise comaximal
     sets of proper elements, walked as cliques of the comaximality
     graph (:func:`comaximal_sets`), so their number bounds the cost.
+    The scan draws only candidates above b, as every factor of b is.
     """
     L = ctx.L
-    for parts in comaximal_sets(L, L.proper_elements()):
-        a = L.mul(parts)
+    # same_radical[r]: the elements with radical r, in index order
+    same_radical: dict[Elt, list[Elt]] = {}
+    for d in L.elements():
+        same_radical.setdefault(L.radical(d), []).append(d)
+    for parts, a in comaximal_sets(L, L.proper_elements()):
         ra = L.radical(a)
         rads = [L.radical(p) for p in parts]
         if a == ra and any(p != r for p, r in zip(parts, rads)):
             return True, False, parts
-        for b in L.elements():
-            if L.radical(b) != ra:
-                continue
+        for b in same_radical[ra]:
             lifted = refine_by_radical(L, b, parts)
             if L.mul(lifted) != b:
                 return True, False, (b, *parts)
@@ -277,7 +349,7 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
             ):
                 return True, False, (b, *parts)
             candidates = [
-                [d for d in L.elements() if L.radical(d) == r] for r in rads
+                [d for d in same_radical[r] if L.leq(b, d)] for r in rads
             ]
             matches = [
                 tup
@@ -302,8 +374,9 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
     sides use the brute-force scan, the right-hand sides the spectrum.
     """
     L = ctx.L
+    oracle = ctx.oracle(FactorKind.CPR)
     for a in L.proper_elements():
-        found = oracle_factorizations(L, a, FactorKind.CPR)
+        found = oracle[a]
         mins = L.min_primes(a)
         comax = all(
             L.comaximal(p, q) for p, q in itertools.combinations(mins, 2)
@@ -403,10 +476,8 @@ def _thm_cq_characterization(ctx: _Ctx) -> _Result:
     factorizations do and every element with prime radical is primary.
     The left side is a brute-force scan, the right side constructive."""
     L = ctx.L
-    lhs = all(
-        len(oracle_factorizations(L, a, FactorKind.CQ)) == 1
-        for a in L.proper_elements()
-    )
+    oracle = ctx.oracle(FactorKind.CQ)
+    lhs = all(len(oracle[a]) == 1 for a in L.proper_elements())
     rhs = all(ctx.admits(a, FactorKind.CPR) for a in L.proper_elements()) and all(
         L.is_primary(a)
         for a in L.proper_elements()

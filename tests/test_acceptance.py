@@ -87,25 +87,36 @@ def test_criterion_2_example_factorizations_exact():
         assert time.monotonic() - t0 < 1.0
 
 
+def _assert_oracle_matches_factor(lattices) -> None:
+    for L in lattices:
+        for a in L.proper_elements():
+            for kind in FactorKind:
+                found = oracle_factorizations(L, a, kind)
+                assert len(found) <= 1, (L.name, L.label(a), kind)
+                try:
+                    f = factor(L, a, kind)
+                    constructed = set(f.factors)
+                except NoFactorization:
+                    constructed = None
+                if constructed is None:
+                    assert found == [], (L.name, L.label(a), kind)
+                else:
+                    assert len(found) == 1
+                    assert set(found[0].factors) == constructed
+
+
 def test_criterion_3_oracle_equivalence_and_uniqueness(universe_deep, deep_size):
     with criterion(3, f"oracle equivalence + uniqueness (size <= {deep_size})"):
         t0 = time.monotonic()
-        for L in universe_deep:
-            for a in L.proper_elements():
-                for kind in FactorKind:
-                    found = oracle_factorizations(L, a, kind)
-                    assert len(found) <= 1, (L.name, L.label(a), kind)
-                    try:
-                        f = factor(L, a, kind)
-                        constructed = set(f.factors)
-                    except NoFactorization:
-                        constructed = None
-                    if constructed is None:
-                        assert found == [], (L.name, L.label(a), kind)
-                    else:
-                        assert len(found) == 1
-                        assert set(found[0].factors) == constructed
+        _assert_oracle_matches_factor(universe_deep)
         assert time.monotonic() - t0 < 300.0
+
+
+def test_criterion_3_at_size_7(universe7):
+    with criterion(3, "oracle equivalence + uniqueness (size 7)"):
+        size7 = [L for L in universe7 if L.n == 7]
+        assert len(size7) == 723
+        _assert_oracle_matches_factor(size7)
 
 
 def test_criterion_4_theorem_suite_universality(universe_deep, deep_size):

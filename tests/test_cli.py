@@ -205,6 +205,13 @@ def test_enumerate_size_cap(capsys):
     assert main(["enumerate", "--size", "3", "--predicate", "bogus"]) == 2
 
 
+def test_enumerate_over_the_cap_refuses_without_a_size_7_warning(capsys):
+    assert main(["enumerate", "--size", "8", "--allow-size-7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: size 8 exceeds the cap 7\n"
+
+
 def test_enumerate_bad_size_or_predicate_exit_2(capsys):
     for argv in (
         ["--size", "0"],

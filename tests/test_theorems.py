@@ -30,6 +30,7 @@ from comaxlat.presets import PRESET_NAMES, preset
 from comaxlat.theorems import (
     THEOREM_IDS,
     UnknownTheoremId,
+    _Ctx,
     check_entry,
     run_theorem_suite,
 )
@@ -199,12 +200,19 @@ def _assert_kernels_match_naive(L) -> set[str]:
         ), (L.name, tid)
         if concl is False:
             failing.add(tid)
-    assert list(comaximal_sets(L, L.proper_elements())) == comaximal_subsets_naive(L)
-    for a in L.proper_elements():
-        for kind in FactorKind:
-            assert oracle_factorizations(L, a, kind) == oracle_factorizations_naive(
-                L, a, kind
-            ), (L.name, a, kind)
+    walk = list(comaximal_sets(L, L.proper_elements()))
+    assert [parts for parts, _ in walk] == comaximal_subsets_naive(L)
+    assert all(prod == L.mul(parts) for parts, prod in walk), L.name
+    # the checkers' one-walk table must list, in order, what the oracle
+    # and its naive twin find element by element
+    ctx = _Ctx(L, ())
+    for kind in FactorKind:
+        table = ctx.oracle(kind)
+        assert list(table) == list(L.proper_elements()), (L.name, kind)
+        for a in L.proper_elements():
+            want = oracle_factorizations_naive(L, a, kind)
+            assert oracle_factorizations(L, a, kind) == want, (L.name, a, kind)
+            assert table[a] == want, (L.name, a, kind)
     return failing
 
 
@@ -218,23 +226,51 @@ def test_kernels_match_naive_twins(universe_deep, all_presets):
     assert na > 0
 
 
+def _perturbed(L, rng, tables, row=None):
+    """A copy of L with one cell, in the given row or a random one, set to
+    one new value in each of the named tables."""
+    x = rng.randrange(L.n) if row is None else row
+    y = rng.randrange(L.n)
+    old = getattr(L, tables[0])[x][y]
+    v = rng.choice([u for u in L.elements() if u != old])
+    C = copy.copy(L)
+    for table in tables:
+        rows = [list(r) for r in getattr(L, table)]
+        rows[x][y] = v
+        setattr(C, table, tuple(map(tuple, rows)))
+    return C
+
+
 def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
-    # One perturbed cell of the quotient, join or product table makes the
-    # kernels fail; the failures and their witnesses must match too.
+    # One perturbed cell of the quotient, join, meet or product table makes
+    # the kernels fail; the failures and their witnesses must match too.
+    # Products fold from the top, so the top row of the product table is
+    # perturbed on its own as well, together with the same cell of the
+    # meet table: part (i) of lemma_comaximal compares the two, and would
+    # otherwise report every such cell before the products are reached.
     rng = random.Random(20211)
+    extra = random.Random(20212)
     failing = Counter()
     for L in universe5:
         if L.n != 5:
             continue
         for table in ("_quot", "_join", "_mul"):
             for _ in range(3):
-                rows = [list(row) for row in getattr(L, table)]
-                x, y = rng.randrange(L.n), rng.randrange(L.n)
-                rows[x][y] = rng.choice([v for v in L.elements() if v != rows[x][y]])
-                C = copy.copy(L)
-                setattr(C, table, tuple(map(tuple, rows)))
-                failing.update(_assert_kernels_match_naive(C))
+                failing.update(_assert_kernels_match_naive(_perturbed(L, rng, (table,))))
+        for _ in range(3):
+            C = _perturbed(L, extra, ("_meet",))
+            failing.update(_assert_kernels_match_naive(C))
+            C = _perturbed(L, extra, ("_mul", "_meet"), row=L.top)
+            failing.update(f"{tid} (top row)" for tid in _assert_kernels_match_naive(C))
     assert failing["lemma_comaximal"] > 0 and failing["lemma_formulas"] > 0, failing
+    assert failing["lemma_comaximal (top row)"] > 0, failing
+
+
+def test_kernels_match_naive_twins_at_size_7(universe7):
+    size7 = [L for L in universe7 if L.n == 7]
+    assert len(size7) == 723
+    for L in random.Random(7).sample(size7, 60):
+        assert not _assert_kernels_match_naive(L)
 
 
 def test_direct_products_follow_their_components():
