@@ -207,9 +207,8 @@ def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
 
 def comaximal_sets(
     L: FiniteMultLattice, candidates: Sequence[Elt]
-) -> Iterator[tuple[tuple[Elt, ...], Elt]]:
-    """Every nonempty pairwise comaximal set drawn from ``candidates``,
-    with its product.
+) -> Iterator[tuple[Elt, ...]]:
+    """Every nonempty pairwise comaximal set drawn from ``candidates``.
 
     The sets are the cliques of the comaximality graph on the
     candidates, walked level by level: a set is only ever extended by a
@@ -219,8 +218,19 @@ def comaximal_sets(
     lexicographic order of candidate positions, exactly as filtering
     ``itertools.combinations`` by pairwise comaximality would list
     them; each pair ``(p, q)`` is tested as ``L.comaximal(p, q)`` with
-    ``p`` before ``q`` in ``candidates``.  The product is ``L.mul`` of
-    the set, folded from the top as the set is extended.
+    ``p`` before ``q`` in ``candidates``.
+    """
+    for subset, _ in _comaximal_walk(L, candidates):
+        yield subset
+
+
+def _comaximal_walk(
+    L: FiniteMultLattice, candidates: Sequence[Elt]
+) -> Iterator[tuple[tuple[Elt, ...], Elt]]:
+    """:func:`comaximal_sets`, each set with its product.
+
+    The product is ``L.mul`` of the set, folded from the top as the set
+    is extended.
     """
     m = len(candidates)
     # later[i]: positions j > i whose candidate is comaximal to the i-th
@@ -274,7 +284,7 @@ def oracle_factorizations(
         raise TopElement(f"{L.label(a)} admits no factorization")
     return [
         Factorization(kind=kind, target=a, factors=subset)
-        for subset, prod in comaximal_sets(L, _oracle_candidates(L, kind))
+        for subset, prod in _comaximal_walk(L, _oracle_candidates(L, kind))
         if prod == a
     ]
 
@@ -288,7 +298,7 @@ def _oracle_table(
     keeps the walk's order.
     """
     table: dict[Elt, list[Factorization]] = {a: [] for a in L.proper_elements()}
-    for subset, prod in comaximal_sets(L, _oracle_candidates(L, kind)):
+    for subset, prod in _comaximal_walk(L, _oracle_candidates(L, kind)):
         if prod in table:  # the top, as in oracle_factorizations, has none
             table[prod].append(Factorization(kind=kind, target=prod, factors=subset))
     return table

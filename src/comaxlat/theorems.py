@@ -30,12 +30,11 @@ from typing import Optional, Sequence, Union
 from .core import Elt, FiniteMultLattice, LatticeError, _mask, _members
 from .factorize import (
     FactorKind,
-    Factorization,
     _classify,
+    _comaximal_walk,
     _factor_kinds,
     _oracle_table,
     classify_lattice,  # unused here; perfbench/tracing.py wraps it by name
-    comaximal_sets,
     factor,  # unused here; perfbench/tracing.py wraps it by name
     refine_by_radical,
 )
@@ -119,13 +118,6 @@ class _Ctx:
     def __init__(self, L: FiniteMultLattice, gens: tuple[Elt, ...]):
         self.L = L
         self.gens = gens
-        self._oracle: dict[FactorKind, dict[Elt, list[Factorization]]] = {}
-
-    def oracle(self, kind: FactorKind) -> dict[Elt, list[Factorization]]:
-        """``oracle_factorizations`` of every proper element, from one walk."""
-        if kind not in self._oracle:
-            self._oracle[kind] = _oracle_table(self.L, kind)
-        return self._oracle[kind]
 
     @cached_property
     def kinds(self) -> dict[FactorKind, int]:
@@ -332,7 +324,7 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     same_radical: dict[Elt, list[Elt]] = {}
     for d in L.elements():
         same_radical.setdefault(L.radical(d), []).append(d)
-    for parts, a in comaximal_sets(L, L.proper_elements()):
+    for parts, a in _comaximal_walk(L, L.proper_elements()):
         ra = L.radical(a)
         rads = [L.radical(p) for p in parts]
         if a == ra and any(p != r for p, r in zip(parts, rads)):
@@ -374,7 +366,7 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
     sides use the brute-force scan, the right-hand sides the spectrum.
     """
     L = ctx.L
-    oracle = ctx.oracle(FactorKind.CPR)
+    oracle = _oracle_table(L, FactorKind.CPR)
     for a in L.proper_elements():
         found = oracle[a]
         mins = L.min_primes(a)
@@ -476,7 +468,7 @@ def _thm_cq_characterization(ctx: _Ctx) -> _Result:
     factorizations do and every element with prime radical is primary.
     The left side is a brute-force scan, the right side constructive."""
     L = ctx.L
-    oracle = ctx.oracle(FactorKind.CQ)
+    oracle = _oracle_table(L, FactorKind.CQ)
     lhs = all(len(oracle[a]) == 1 for a in L.proper_elements())
     rhs = all(ctx.admits(a, FactorKind.CPR) for a in L.proper_elements()) and all(
         L.is_primary(a)

@@ -21,6 +21,8 @@ from comaxlat.enumeration import enumerated_universe
 from comaxlat.factorize import (
     FactorKind,
     NoFactorization,
+    _comaximal_walk,
+    _oracle_table,
     classify_lattice,
     comaximal_sets,
     factor,
@@ -30,7 +32,6 @@ from comaxlat.presets import PRESET_NAMES, preset
 from comaxlat.theorems import (
     THEOREM_IDS,
     UnknownTheoremId,
-    _Ctx,
     check_entry,
     run_theorem_suite,
 )
@@ -200,14 +201,14 @@ def _assert_kernels_match_naive(L) -> set[str]:
         ), (L.name, tid)
         if concl is False:
             failing.add(tid)
-    walk = list(comaximal_sets(L, L.proper_elements()))
-    assert [parts for parts, _ in walk] == comaximal_subsets_naive(L)
-    assert all(prod == L.mul(parts) for parts, prod in walk), L.name
+    sets = comaximal_subsets_naive(L)
+    assert list(comaximal_sets(L, L.proper_elements())) == sets
+    walk = list(_comaximal_walk(L, L.proper_elements()))
+    assert walk == [(parts, L.mul(parts)) for parts in sets], L.name
     # the checkers' one-walk table must list, in order, what the oracle
     # and its naive twin find element by element
-    ctx = _Ctx(L, ())
     for kind in FactorKind:
-        table = ctx.oracle(kind)
+        table = _oracle_table(L, kind)
         assert list(table) == list(L.proper_elements()), (L.name, kind)
         for a in L.proper_elements():
             want = oracle_factorizations_naive(L, a, kind)

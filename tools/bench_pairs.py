@@ -1,16 +1,16 @@
 """Compare a parent commit with the working tree on the benchmark, in pairs.
 
-    python3 tools/bench_pairs.py --out BENCH_<n>.json
-        [--parent REV] [--workload W ...] [--pairs N] [--seed S]
+    python3 tools/bench_pairs.py --out BENCH_<n>.json [--seed S]
 
-Exports the parent revision (default ``HEAD``) with ``git archive`` into
-a temporary directory and runs ``perfbench/run.py --trace 0`` of each
-side in alternating pairs: the parent goes first in even pairs and the
-working tree goes first in odd ones, so a drift of the host's speed
-falls on both sides alike.  Pair ``i`` of a workload uses seed
-``--seed + i`` on both sides, and every run lasts the ``run_seconds``
-of ``BENCHMARK.json``.  Every run gets a fresh temporary working
-directory, so ``.bench_out/`` never lands in a checkout.
+Exports ``HEAD`` with ``git archive`` into a temporary directory and
+runs ``perfbench/run.py --trace 0`` of it and of the working tree in
+10 alternating pairs for every workload of ``BENCHMARK.json``: the
+parent goes first in even pairs and the working tree goes first in odd
+ones, so a drift of the host's speed falls on both sides alike.  Pair
+``i`` of a workload uses seed ``--seed + i`` on both sides, and every
+run lasts the ``run_seconds`` of ``BENCHMARK.json``.  Every run gets a
+fresh temporary working directory, so ``.bench_out/`` never lands in a
+checkout.
 
 The output JSON holds, per workload and end-to-end metric, the median
 and quartiles of each side, and in how many pairs the working tree did
@@ -31,12 +31,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
-def export(rev: str, dest: Path) -> str:
-    """Unpack ``rev`` into ``dest`` and return its full commit id."""
+def export(dest: Path) -> str:
+    """Unpack ``HEAD`` into ``dest`` and return its full commit id."""
     sha = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD^{commit}"],
         check=True, capture_output=True, text=True,
     ).stdout.strip()
     archive = dest.parent / "parent.tar"
@@ -106,35 +107,30 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--parent", default="HEAD")
-    ap.add_argument("--workload", action="append", choices=names)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
 
     doc = {
-        "pairs": args.pairs,
-        "seeds": [args.seed, args.seed + args.pairs - 1],
+        "pairs": PAIRS,
+        "seeds": [args.seed, args.seed + PAIRS - 1],
         "seconds": spec["run_seconds"],
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp) / "tree"
         parent_tree.mkdir()
-        doc["parent"] = export(args.parent, parent_tree)
+        doc["parent"] = export(parent_tree)
         doc["change"] = "working tree"
-        for workload in args.workload or names:
+        for workload in names:
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
                 for who in order:
                     tree = parent_tree if who == "parent" else ROOT
                     runs[who].append(
                         run_once(tree, workload, args.seed + i, spec["run_seconds"])
                     )
-                print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
+                print(f"{workload}: pair {i + 1}/{PAIRS} done", file=sys.stderr)
             doc["workloads"][workload] = {
                 "parent": side(runs["parent"]),
                 "change": side(runs["change"]),
