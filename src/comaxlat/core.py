@@ -18,10 +18,11 @@ across concurrent workers; all operations are pure table lookups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import string
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Elt = int  # index of an element within its parent lattice
 
@@ -213,27 +214,73 @@ def order_tables(
     return tuple(map(tuple, join)), tuple(map(tuple, meet)), None
 
 
+class _Order(NamedTuple):
+    """Index-level facts of a closed order with a least and a greatest element.
+
+    ``join`` and ``meet`` are ``None`` when some pair lacks a bound, and
+    ``missing`` is then the first such pair, as :func:`order_tables`
+    reports it.  ``covers[x]`` lists the lower covers of ``x`` in index
+    order.  ``descending`` is a reverse linear extension: every element
+    comes before all elements strictly below it.
+    """
+
+    join: Optional[tuple[tuple[int, ...], ...]]
+    meet: Optional[tuple[tuple[int, ...], ...]]
+    missing: Optional[tuple[int, int]]
+    down: tuple[int, ...]
+    covers: tuple[tuple[int, ...], ...]
+    descending: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def _order_facts(up: tuple[int, ...]) -> _Order:
+    """The :class:`_Order` of closed up-set masks, computed once per order.
+
+    Lattices built on one order share its tables.  Only index-level data
+    is kept here: labels and violations are produced by each caller.  The
+    bound keeps every order up to size 8 (300 of them) without letting
+    large user lattices pile up.
+    """
+    n = len(up)
+    join, meet, missing = order_tables(up, n)
+    down = down_masks(up)
+    covers = []
+    for x in range(n):
+        below = down[x] & ~(1 << x)
+        covers.append(
+            tuple(i for i in _members(below) if up[i] & below & ~(1 << i) == 0)
+        )
+    descending = tuple(sorted(range(n), key=lambda i: bin(up[i]).count("1")))
+    return _Order(join, meet, missing, down, tuple(covers), descending)
+
+
 def _first_nonassociative(
-    mul: Sequence[Sequence[int]], n: int
+    mul: Sequence[Sequence[int]], xs: Sequence[int]
 ) -> Optional[tuple[int, int, int]]:
-    """The first ``(x, y, z)`` in index order with ``(x*y)*z != x*(y*z)``."""
-    for x, mx in enumerate(mul):
-        for y, my in enumerate(mul):
-            left = mul[mx[y]]
-            for z in range(n):
+    """The first ``(x, y, z)`` over ``xs`` in index order with ``(x*y)*z != x*(y*z)``."""
+    for x in xs:
+        mx = mul[x]
+        for y in xs:
+            my, left = mul[y], mul[mx[y]]
+            for z in xs:
                 if left[z] != mx[my[z]]:
                     return x, y, z
     return None
 
 
 def _first_nondistributive(
-    mul: Sequence[Sequence[int]], join: tuple[tuple[int, ...], ...], n: int
+    mul: Sequence[Sequence[int]],
+    join: tuple[tuple[int, ...], ...],
+    xs: Sequence[int],
+    ab: Sequence[int],
 ) -> Optional[tuple[int, int, int]]:
-    """The first ``(x, a, b)``, ``a <= b`` in index, with ``x*(a v b) != x*a v x*b``."""
-    for x, mx in enumerate(mul):
-        for a in range(n):
+    """The first ``(x, a, b)``, ``x`` in ``xs``, ``a <= b`` in ``ab`` and in
+    index, with ``x*(a v b) != x*a v x*b``."""
+    for x in xs:
+        mx = mul[x]
+        for i, a in enumerate(ab):
             ja, jxa = join[a], join[mx[a]]
-            for b in range(a, n):
+            for b in ab[i:]:
                 if mx[ja[b]] != jxa[mx[b]]:
                     return x, a, b
     return None
@@ -266,10 +313,17 @@ def multiplication_violations(
         if mul[x][bottom] != bottom:
             out.append(Violation("BottomNotAbsorbing", (labels[x],)))
             break
-    assoc = _first_nonassociative(mul, n)
+    # Once the product is commutative with the top as identity and the
+    # bottom as zero, both laws hold whenever a bound takes part, except
+    # distributivity with the top inside the join: x*(1 v b) = x*1 v x*b
+    # says x*b <= x.  Skipping the rest leaves the first witness unchanged.
+    everything = range(n)
+    inner = everything if out else [x for x in everything if x not in (bottom, top)]
+    nonzero = everything if out else [x for x in everything if x != bottom]
+    assoc = _first_nonassociative(mul, inner)
     if assoc is not None:
         out.append(Violation("NotAssociative", tuple(labels[i] for i in assoc)))
-    dist = _first_nondistributive(mul, join, n)
+    dist = _first_nondistributive(mul, join, inner, nonzero)
     if dist is not None:
         out.append(Violation("NotDistributive", tuple(labels[i] for i in dist)))
     return out
@@ -306,7 +360,7 @@ class FiniteMultLattice:
         self.bottom = bottom
         self.top = top
         self._up = up
-        self._down = down_masks(up)
+        self._down = _order_facts(up).down
         self._join = join
         self._meet = meet
         self._mul = mul
@@ -340,12 +394,13 @@ class FiniteMultLattice:
             raise ValidationError([Violation("BottomEqualsTop", (labels[bottom],))])
         closed = list(up)
         _closure(closed, n)
-        viols = _order_violations(tuple(closed), n, bottom, top, labels)
+        up = tuple(closed)
+        viols = _order_violations(up, n, bottom, top, labels)
         if viols:
             raise ValidationError(viols)
-        join, meet, missing = order_tables(tuple(closed), n)
-        if missing is not None:
-            i, j = missing
+        order = _order_facts(up)
+        if order.missing is not None:
+            i, j = order.missing
             raise ValidationError(
                 [Violation("NotALattice", (labels[i], labels[j]), "missing bound")]
             )
@@ -361,11 +416,11 @@ class FiniteMultLattice:
         ]
         if missing:
             raise ValidationError(missing)
-        viols = multiplication_violations(labels, join, table, bottom, top)
+        viols = multiplication_violations(labels, order.join, table, bottom, top)
         if viols:
             raise ValidationError(viols)
         mul = tuple(map(tuple, table))
-        return cls(name, labels, tuple(closed), join, meet, mul, bottom, top)
+        return cls(name, labels, up, order.join, order.meet, mul, bottom, top)
 
     def _build_caches(self) -> None:
         # A lattice has 24 instance attributes.  Keep fewer than 30: from 30
@@ -374,12 +429,12 @@ class FiniteMultLattice:
         # slower.
         n = self.n
         mul = self._mul
-        join = self._join
         meet = self._meet
         up = self._up
         down = self._down
         top = self.top
         bottom = self.bottom
+        order = _order_facts(up)
 
         # Derived facts from the axioms, kept as hard assertions.  Checking
         # monotonicity on the lower covers y of each z suffices: every
@@ -388,22 +443,26 @@ class FiniteMultLattice:
             row, meet_row = mul[x], meet[x]
             for y in range(n):
                 assert down[meet_row[y]] >> row[y] & 1, "product must lie below the meet"
-        for z in range(n):
-            for y in self.lower_covers(z):
-                for x in range(n):
-                    assert down[mul[x][z]] >> mul[x][y] & 1, "product must be monotone"
+        for z, covers in enumerate(order.covers):
+            for y in covers:
+                for row in mul:
+                    assert down[row[z]] >> row[y] & 1, "product must be monotone"
 
-        # quotient table: quot[y][x] = largest a with a*x <= y
-        quot = [[bottom] * n for _ in range(n)]
-        for y in range(n):
-            uy = down[y]
-            for x in range(n):
-                best = bottom
-                for a in range(n):
-                    if uy >> mul[a][x] & 1:
-                        best = join[best][a]
-                quot[y][x] = best
-        self._quot = tuple(map(tuple, quot))
+        # quotient table: quot[y][x] = largest a with a*x <= y.  The a with
+        # a*x <= y form a down-set closed under joins (the product is
+        # monotone and distributes over joins), so its greatest element is
+        # the first of them in a reverse linear extension.
+        descending = order.descending
+        quot = []
+        for dy in down:
+            row = []
+            for mx in mul:
+                for a in descending:
+                    if dy >> mx[a] & 1:
+                        row.append(a)
+                        break
+            quot.append(tuple(row))
+        self._quot = tuple(quot)
 
         # power chains: x, x^2, ... are decreasing in a finite lattice,
         # so the chain stabilizes; keep the distinct prefix.
@@ -480,12 +539,14 @@ class FiniteMultLattice:
 
     def _mp_scan(self, m: int) -> bool:
         # a /\ b*m == ((a:m) /\ b) * m for all a, b
-        meet, mul, quot = self._meet, self._mul, self._quot
-        return all(
-            meet[a][mul[b][m]] == mul[meet[quot[a][m]][b]][m]
-            for a in range(self.n)
-            for b in range(self.n)
-        )
+        meet, quot = self._meet, self._quot
+        colm = self._mul[m]
+        for a, meet_a in enumerate(meet):
+            meet_q = meet[quot[a][m]]
+            for b, bm in enumerate(colm):
+                if meet_a[bm] != colm[meet_q[b]]:
+                    return False
+        return True
 
     def _wmp_scan(self, m: int) -> bool:
         meet, mul, quot = self._meet, self._mul, self._quot
@@ -493,12 +554,15 @@ class FiniteMultLattice:
 
     def _jp_scan(self, j: int) -> bool:
         # ((a*j \/ b) : j) == a \/ (b:j) for all a, b
-        join, mul, quot = self._join, self._mul, self._quot
-        return all(
-            quot[join[mul[a][j]][b]][j] == join[a][quot[b][j]]
-            for a in range(self.n)
-            for b in range(self.n)
-        )
+        join = self._join
+        colj = self._mul[j]
+        qj = [row[j] for row in self._quot]  # qj[y] = (y : j)
+        for a, join_a in enumerate(join):
+            join_aj = join[colj[a]]
+            for b, bj in enumerate(qj):
+                if qj[join_aj[b]] != join_a[bj]:
+                    return False
+        return True
 
     def _wjp_scan(self, j: int) -> bool:
         join, mul, quot = self._join, self._mul, self._quot
@@ -618,7 +682,8 @@ class FiniteMultLattice:
         and every generating set contains all of them, so they form the
         smallest generating set of the lattice.
         """
-        return tuple(x for x in range(self.n) if len(self.lower_covers(x)) == 1)
+        covers = _order_facts(self._up).covers
+        return tuple(x for x in range(self.n) if len(covers[x]) == 1)
 
     def generates(self, gens: Iterable[Elt]) -> bool:
         """Whether every element is the join of the members of ``gens`` below it."""
@@ -626,14 +691,7 @@ class FiniteMultLattice:
         return all(self.join(_members(g & self._down[x])) == x for x in range(self.n))
 
     def lower_covers(self, x: Elt) -> tuple[Elt, ...]:
-        below = self._down[x] & ~(1 << x)
-        covers = []
-        for i in range(self.n):
-            if below >> i & 1:
-                between = self._up[i] & below & ~(1 << i)
-                if between == 0:
-                    covers.append(i)
-        return tuple(covers)
+        return _order_facts(self._up).covers[x]
 
     # -- profiles -------------------------------------------------------
 
@@ -682,7 +740,8 @@ class FiniteMultLattice:
 
     def to_spec(self) -> LatticeSpec:
         """Serialize back to a spec: covering pairs plus the non-forced products."""
-        covers = sorted((i, j) for j in range(self.n) for i in self.lower_covers(j))
+        order = _order_facts(self._up)
+        covers = sorted((i, j) for j, below in enumerate(order.covers) for i in below)
         pairs = [(self.labels[i], self.labels[j]) for i, j in covers]
         entries: dict[tuple[str, str], str] = {}
         for i in range(self.n):

@@ -238,6 +238,10 @@ def enumerate_bounded_lattices(
             up = tuple(
                 sum(1 << j for j in range(n) if dmask[j] >> i & 1) for i in range(n)
             )
+            # Not the per-order memo behind from_tables: each labeled order is
+            # checked here once and never again (at size 8, 3,637 labeled
+            # lattice orders reduce to 222 canonical ones), so memoizing
+            # them would only fill the memo.
             join, meet, missing = order_tables(up, n)
             if missing is not None:
                 return

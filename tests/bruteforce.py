@@ -77,6 +77,41 @@ def dimension_naive(L: FiniteMultLattice) -> int:
     return max(longest_from(p) for p in primes)
 
 
+def quotient_table_naive(L: FiniteMultLattice) -> tuple[tuple[int, ...], ...]:
+    """quot[y][x] = the join of every a with a*x <= y."""
+    n, mul, join, down = L.n, L._mul, L._join, L._down
+    quot = [[L.bottom] * n for _ in range(n)]
+    for y in range(n):
+        uy = down[y]
+        for x in range(n):
+            best = L.bottom
+            for a in range(n):
+                if uy >> mul[a][x] & 1:
+                    best = join[best][a]
+            quot[y][x] = best
+    return tuple(map(tuple, quot))
+
+
+def meet_principal_naive(L: FiniteMultLattice, m: int) -> bool:
+    """a /\\ b*m == ((a:m) /\\ b) * m for all a, b."""
+    meet, mul, quot = L._meet, L._mul, L._quot
+    return all(
+        meet[a][mul[b][m]] == mul[meet[quot[a][m]][b]][m]
+        for a in range(L.n)
+        for b in range(L.n)
+    )
+
+
+def join_principal_naive(L: FiniteMultLattice, j: int) -> bool:
+    """((a*j \\/ b) : j) == a \\/ (b:j) for all a, b."""
+    join, mul, quot = L._join, L._mul, L._quot
+    return all(
+        quot[join[mul[a][j]][b]][j] == join[a][quot[b][j]]
+        for a in range(L.n)
+        for b in range(L.n)
+    )
+
+
 def count_bounded_lattices(n: int) -> int:
     """Poset-filter oracle: count bounded lattice orders up to isomorphism.
 

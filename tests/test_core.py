@@ -6,7 +6,15 @@ from collections import Counter
 
 import pytest
 
-from bruteforce import boolean_lattice, first_axiom_failures_naive
+from bruteforce import (
+    boolean_lattice,
+    chain_lattice,
+    first_axiom_failures_naive,
+    join_principal_naive,
+    meet_principal_naive,
+    product_lattice,
+    quotient_table_naive,
+)
 from comaxlat.core import (
     FiniteMultLattice,
     InvalidSpec,
@@ -65,28 +73,34 @@ def test_mutated_l1_fails_associativity_or_distributivity():
 
 def test_axiom_witnesses_match_naive_scan(universe5):
     # one perturbed product cell per table: the first associativity and
-    # distributivity witnesses, in index order, must match a plain scan
+    # distributivity witnesses, in index order, must match a plain scan.
+    # The same change made to both symmetric cells keeps the product
+    # commutative, so the scans that skip the bounds are compared too.
     rng = random.Random(7)
     failing = Counter()
     for L in universe5:
         for _ in range(4):
-            mul = [list(row) for row in L._mul]
             x, y = rng.randrange(L.n), rng.randrange(L.n)
-            mul[x][y] = rng.choice([v for v in L.elements() if v != mul[x][y]])
-            found = {
-                v.code: v.witness
-                for v in multiplication_violations(
-                    L.labels, L._join, mul, L.bottom, L.top
-                )
-            }
-            for code, first in zip(
-                ("NotAssociative", "NotDistributive"),
-                first_axiom_failures_naive(mul, L._join, L.n),
-            ):
-                expect = None if first is None else tuple(L.labels[i] for i in first)
-                assert found.get(code) == expect, (L.name, code)
-                failing[code] += first is not None
-    assert failing["NotAssociative"] > 0 and failing["NotDistributive"] > 0, failing
+            new = rng.choice([v for v in L.elements() if v != L._mul[x][y]])
+            for cells, kind in (([(x, y)], ""), ([(x, y), (y, x)], " (symmetric)")):
+                mul = [list(row) for row in L._mul]
+                for i, j in cells:
+                    mul[i][j] = new
+                found = {
+                    v.code: v.witness
+                    for v in multiplication_violations(
+                        L.labels, L._join, mul, L.bottom, L.top
+                    )
+                }
+                for code, first in zip(
+                    ("NotAssociative", "NotDistributive"),
+                    first_axiom_failures_naive(mul, L._join, L.n),
+                ):
+                    expect = None if first is None else tuple(L.labels[i] for i in first)
+                    assert found.get(code) == expect, (L.name, code)
+                    failing[code + kind] += first is not None
+    assert all(failing[code + kind] > 0 for code in ("NotAssociative", "NotDistributive")
+               for kind in ("", " (symmetric)")), failing
 
 
 def test_bottom_equals_top_rejected():
@@ -145,6 +159,51 @@ def test_missing_bound_rejected():
     with pytest.raises(ValidationError) as exc:
         validate_lattice(spec)
     assert exc.value.codes() == {"NotALattice"}
+
+
+def test_order_defects_report_their_own_labels():
+    # Orders are memoized by their up-masks, without labels: two specs on
+    # the same masks must still name their own elements.
+    def crown(a, b, c, d):
+        return LatticeSpec(
+            name="crown",
+            elements=("0", a, b, c, d, "1"),
+            order_pairs=(("0", a), ("0", b), (a, c), (a, d),
+                         (b, c), (b, d), (c, "1"), (d, "1")),
+            mul_entries={},
+        )
+
+    def offtop(x):
+        return LatticeSpec("offtop", ("0", x, "1"), (("0", x), ("0", "1")), {})
+
+    for spec, want in (
+        (crown("x", "y", "z", "w"), "NotALattice x y"),
+        (crown("p", "q", "r", "s"), "NotALattice p q"),
+        (offtop("x"), "NotALattice x 1"),
+        (offtop("u"), "NotALattice u 1"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            validate_lattice(spec)
+        assert [str(v) for v in exc.value.violations] == [want]
+
+
+def test_product_checks_run_on_a_memoized_order():
+    # the chain 0 < a < b < 1 with b*b = a*b = a and a*a = 0 is monotone
+    # (so distributive) but (b*b)*a = 0 while b*(b*a) = a
+    def chain(name, aa, ab, bb):
+        return LatticeSpec(
+            name=name,
+            elements=("0", "a", "b", "1"),
+            order_pairs=(("0", "a"), ("a", "b"), ("b", "1")),
+            mul_entries={("a", "a"): aa, ("a", "b"): ab, ("b", "b"): bb},
+        )
+
+    L = validate_lattice(chain("meet", "a", "a", "b"))
+    M = validate_lattice(chain("square", "0", "0", "a"))
+    assert M._join is L._join  # one memoized order
+    with pytest.raises(ValidationError) as exc:
+        validate_lattice(chain("bad", "0", "a", "a"))
+    assert [str(v) for v in exc.value.violations] == ["NotAssociative a b b"]
 
 
 def test_designated_bottom_must_be_least():
@@ -351,6 +410,26 @@ def test_constructor_asserts_product_below_meet_and_monotone():
     non_monotone = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 0, 2), (0, 1, 2, 3))
     with pytest.raises(AssertionError, match="monotone"):
         _chain_lattice(non_monotone)
+
+
+@pytest.mark.parametrize("universe", ["universe_deep", "universe7"])
+def test_residual_and_principality_tables_match_naive_twins(
+    request, universe, all_presets
+):
+    lattices = list(request.getfixturevalue(universe)) + list(all_presets)
+    lattices += [boolean_lattice(4), chain_lattice(8)]
+    L1, L3, E16 = preset("L1"), preset("L3"), preset("E16")
+    lattices += [
+        product_lattice(L1, L3),
+        product_lattice(E16, chain_lattice(3)),
+        product_lattice(boolean_lattice(2), L3),
+    ]
+    for L in lattices:
+        assert L._quot == quotient_table_naive(L), L.name
+        mp = {m for m in L.elements() if meet_principal_naive(L, m)}
+        jp = {j for j in L.elements() if join_principal_naive(L, j)}
+        assert L._mp_mask == sum(1 << m for m in mp), L.name
+        assert L._jp_mask == sum(1 << j for j in jp), L.name
 
 
 def test_default_labels_continue_past_z():
