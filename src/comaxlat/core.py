@@ -192,7 +192,7 @@ def _extremum(mask: int, cone: tuple[int, ...]) -> Optional[int]:
 
 def order_tables(
     up: tuple[int, ...], n: int
-) -> tuple[Optional[tuple], Optional[tuple], Optional[tuple[str, str]]]:
+) -> tuple[Optional[tuple], Optional[tuple], Optional[tuple[int, int]]]:
     """Compute join and meet tables for a partial order given by up-set masks.
 
     Returns ``(join, meet, None)`` on success, or ``(None, None, (i, j))``

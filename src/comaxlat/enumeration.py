@@ -30,11 +30,14 @@ prune a branch as soon as a partial table breaks an axiom:
   sides must agree.
 
 All three are consequences of the axioms, so every pruned branch holds
-no solution.  A completed table is distributive everywhere and
-associative on join-irreducibles, hence associative; it still passes the
-associativity check on every triple of join-irreducibles, then the full
-axiom check, before it is emitted, so every emitted lattice validates
-cleanly.
+no solution.  A completed table is distributive everywhere; it is kept
+when it is associative on every triple of join-irreducibles, hence
+associative.  The full axiom check runs once, in
+:meth:`FiniteMultLattice.from_tables`, on the representative of each
+automorphism orbit.  The axioms are invariant under order
+automorphisms, so the representative speaks for its whole orbit, and a
+table the search got wrong raises :class:`ValidationError` there
+instead of vanishing.
 
 The per-order searches are independent, so the work may be partitioned
 across worker processes; results are merged in a fixed sorted order and
@@ -53,9 +56,8 @@ from .core import (
     Elt,
     FiniteMultLattice,
     LatticeError,
-    default_labels,
-    down_masks,
-    multiplication_violations,
+    _order_facts,
+    multiplication_violations,  # unused here; perfbench/tracing.py wraps it by name
     order_tables,
 )
 from .factorize import ClassificationReport, classify_lattice
@@ -223,13 +225,6 @@ def enumerate_bounded_lattices(
     above the cap.
     """
     _check_cap(n, size_cap)
-    if n == 1:
-        return [
-            OrderTable(
-                name="U1_0", n=1, up=(1,), join=((0,),), meet=((0,),), bottom=0, top=0
-            )
-        ]
-
     found: dict[bytes, tuple[int, ...]] = {}
     dmask = [1]  # dmask[i]: elements <= i, including i
 
@@ -270,18 +265,9 @@ def enumerate_bounded_lattices(
     orders = []
     for idx, canon in enumerate(sorted(found)):
         up = found[canon]
-        join, meet, missing = order_tables(up, n)
-        assert missing is None
+        facts = _order_facts(up)
         orders.append(
-            OrderTable(
-                name=f"U{n}_{idx}",
-                n=n,
-                up=up,
-                join=join,
-                meet=meet,
-                bottom=0,
-                top=n - 1,
-            )
+            OrderTable(f"U{n}_{idx}", n, up, facts.join, facts.meet, 0, n - 1)
         )
     return orders
 
@@ -305,14 +291,16 @@ def _mult_tables(order: OrderTable) -> list[Table]:
     rest is forced by distributivity, propagated over every incomparable
     pair of proper elements and its join, the top included.
     Monotonicity and associativity on join-irreducibles prune partial
-    tables; completed tables are checked against the full axiom set.
-    Returns tables before automorphism dedup, in deterministic order.
+    tables; a completed table is kept when every triple of
+    join-irreducibles associates.  The full axiom check is left to
+    :func:`enumerate_multiplications`.  Returns tables before
+    automorphism dedup, in deterministic order.
     """
     n, B, T = order.n, order.bottom, order.top
-    if n == 1 or B == T:
+    if B == T:
         return []  # a one-element structure collapses bottom and top
     join, meet, up = order.join, order.meet, order.up
-    down = down_masks(up)
+    down = _order_facts(up).down
     mids = [i for i in range(n) if i not in (B, T)]
 
     # every incomparable pair of proper elements, with its join; an
@@ -397,14 +385,11 @@ def _mult_tables(order: OrderTable) -> list[Table]:
                 return False
         return True
 
-    labels = tuple(map(str, range(n)))
     results: list[Table] = []
 
     def dfs(i: int) -> None:
         if i == len(free):
-            if associative(triples) and not multiplication_violations(
-                labels, join, table, B, T
-            ):
+            if associative(triples):
                 results.append(tuple(map(tuple, table)))
             return
         p, q = free[i]
@@ -443,7 +428,6 @@ def _lattice(order: OrderTable, mul: Table, idx: int) -> FiniteMultLattice:
         mul,
         order.bottom,
         order.top,
-        labels=default_labels(order.n, order.bottom, order.top),
         name=f"{order.name}_{idx}",
     )
 
@@ -452,8 +436,10 @@ def enumerate_multiplications(order: OrderTable) -> list[FiniteMultLattice]:
     """All multiplicative lattices on the given order, up to isomorphism.
 
     Tables related by an automorphism of the order are the same lattice;
-    one representative per orbit is returned, in deterministic order,
-    each re-validated through the standard construction path.
+    one representative per orbit is returned, in deterministic order.
+    Each goes through :meth:`FiniteMultLattice.from_tables`, the one full
+    axiom check, which raises :class:`ValidationError` for a table the
+    search got wrong.
     """
     return [_lattice(order, tab, idx) for idx, tab in enumerate(_mult_reps(order))]
 

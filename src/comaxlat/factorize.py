@@ -278,15 +278,13 @@ def oracle_factorizations(
     those that multiply to ``a`` (pairwise comaximal elements are
     necessarily distinct, so sets suffice).  Results come in
     deterministic order: by size, then by the sorted factor tuple.
-    Independent of :func:`factor`.
+    Independent of :func:`factor`.  Like :func:`factor`, it does not
+    check that ``a`` is an element: an index out of range raises
+    ``KeyError``.
     """
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
-    return [
-        Factorization(kind=kind, target=a, factors=subset)
-        for subset, prod in _comaximal_walk(L, _oracle_candidates(L, kind))
-        if prod == a
-    ]
+    return _oracle_table(L, kind)[a]
 
 
 def _oracle_table(
@@ -299,7 +297,7 @@ def _oracle_table(
     """
     table: dict[Elt, list[Factorization]] = {a: [] for a in L.proper_elements()}
     for subset, prod in _comaximal_walk(L, _oracle_candidates(L, kind)):
-        if prod in table:  # the top, as in oracle_factorizations, has none
+        if prod in table:  # the top has no factorization by definition
             table[prod].append(Factorization(kind=kind, target=prod, factors=subset))
     return table
 

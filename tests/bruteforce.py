@@ -9,6 +9,7 @@ twin is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import math
 
 from comaxlat.core import FiniteMultLattice
 from comaxlat.enumeration import OrderTable
@@ -176,17 +177,28 @@ def _all_bounds_exist(rel, n) -> bool:
     return True
 
 
+def _naive_cells(order: OrderTable):
+    """The free products of the naive fill, each with its domain."""
+    mids = [i for i in range(order.n) if i not in (order.bottom, order.top)]
+    pairs = list(itertools.combinations_with_replacement(mids, 2))
+    doms = [
+        [v for v in range(order.n) if order.leq(v, order.meet[p][q])]
+        for p, q in pairs
+    ]
+    return pairs, doms
+
+
+def naive_space(order: OrderTable) -> int:
+    """How many assignments :func:`naive_multiplications` tries."""
+    return math.prod(len(dom) for dom in _naive_cells(order)[1])
+
+
 def naive_multiplications(order: OrderTable) -> list[tuple[tuple[int, ...], ...]]:
     """Naive fill: try every assignment of the free products, scan all axioms."""
     n, B, T = order.n, order.bottom, order.top
     if B == T:
         return []
-    leq = order.leq
-    mids = [i for i in range(n) if i not in (B, T)]
-    pairs = list(itertools.combinations_with_replacement(mids, 2))
-    doms = [
-        [v for v in range(n) if leq(v, order.meet[p][q])] for p, q in pairs
-    ]
+    pairs, doms = _naive_cells(order)
     out = []
     for choice in itertools.product(*doms):
         t = [[0] * n for _ in range(n)]

@@ -15,11 +15,18 @@ from bruteforce import (
     count_bounded_lattices,
     count_iso_classes,
     naive_multiplications,
+    naive_space,
 )
 from comaxlat import enumeration
 from comaxlat.cli import main
-from comaxlat.core import LatticeSpec, validate_lattice
+from comaxlat.core import (
+    LatticeSpec,
+    ValidationError,
+    multiplication_violations,
+    validate_lattice,
+)
 from comaxlat.enumeration import (
+    OrderTable,
     SearchQuery,
     SizeCapExceeded,
     UnknownPredicate,
@@ -78,6 +85,9 @@ RAW_SEARCH_DIGESTS = {
     8: "5fe4c2e16fafa2260fac0c6adade460b9662e9ac3bfbf9e68c1b93c3bebbc0d3",
 }
 
+# The largest naive space (see bruteforce.naive_space) filled at size 7.
+NAIVE_SPACE_MAX = 200_000
+
 
 def test_bounded_lattice_counts_frozen():
     for n, expect in BOUNDED_LATTICE_COUNTS.items():
@@ -118,23 +128,44 @@ def test_raw_search_output_frozen():
         assert got == RAW_SEARCH_DIGESTS[n], f"size {n}"
 
 
-def test_search_completes_only_solutions(monkeypatch):
-    # every table the search completes passes the full axiom check: the
-    # pruning leaves no failing table for that check to reject
-    check = enumeration.multiplication_violations
-    verdicts = []
-
-    def recording(*args):
-        verdicts.append(check(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(enumeration, "multiplication_violations", recording)
+def test_search_completes_only_solutions():
+    # every table the search completes passes the full axiom check, not
+    # only the orbit representatives that from_tables checks
     for n in range(1, 7):
-        verdicts.clear()
-        orders = enumerate_bounded_lattices(n)
-        raw = sum(len(enumeration._mult_tables(order)) for order in orders)
-        assert len(verdicts) == raw, f"size {n}"
-        assert not any(verdicts), f"size {n}"
+        labels = tuple(map(str, range(n)))
+        for order in enumerate_bounded_lattices(n):
+            for tab in enumeration._mult_tables(order):
+                assert not multiplication_violations(
+                    labels, order.join, tab, order.bottom, order.top
+                ), (order.name, tab)
+
+
+def test_wrong_search_table_is_refused(monkeypatch):
+    # from_tables is the one full axiom check: a table the search got
+    # wrong raises instead of vanishing
+    chain = enumerate_bounded_lattices(4)[1]  # 0 < 2 < 1 < 3
+    # 1*1 = 2 and 1*2 = 2, so (1*1)*2 = 2*2 = 0 but 1*(1*2) = 2
+    wrong = ((0, 0, 0, 0), (0, 2, 2, 1), (0, 2, 0, 2), (0, 1, 2, 3))
+    monkeypatch.setattr(enumeration, "_mult_tables", lambda order: [wrong])
+    with pytest.raises(ValidationError) as exc:
+        enumerate_multiplications(chain)
+    assert exc.value.codes() == {"NotAssociative"}
+
+
+def test_size7_search_agrees_with_naive_fill(request):
+    # the independent oracle at size 7, on every order whose naive space
+    # (the product of the free cells' domain sizes) is small enough
+    if not request.config.getoption("--size7"):
+        pytest.skip("needs --size7")
+    orders = tables = 0
+    for order in enumerate_bounded_lattices(7, size_cap=7):
+        if naive_space(order) > NAIVE_SPACE_MAX:
+            continue
+        naive_tables = naive_multiplications(order)
+        assert set(enumeration._mult_tables(order)) == set(naive_tables), order.name
+        orders += 1
+        tables += len(naive_tables)
+    assert (orders, tables) == (35, 21)
 
 
 def test_two_and_three_chains():
@@ -149,6 +180,9 @@ def test_two_and_three_chains():
 
 
 def test_single_element_order_has_no_structures():
+    assert enumerate_bounded_lattices(1) == [
+        OrderTable("U1_0", 1, (1,), ((0,),), ((0,),), 0, 0)
+    ]
     one = enumerate_bounded_lattices(1)[0]
     assert enumerate_multiplications(one) == []
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import random
 from collections import Counter
 
@@ -360,3 +361,45 @@ def test_size7_theorem_suite_tally(universe7):
         tid: tuple(tally[tid, v] for v in ("pass", "fail", "na"))
         for tid in THEOREM_IDS
     } == SIZE7_TALLY
+
+
+def _checker_output_digest(lattices) -> str:
+    """sha256 of ``repr`` of one row per lattice, in the given order.
+
+    A row is ``(name, suites, report)``: ``suites`` holds, for the
+    generator selectors ``"all"``, ``"principal"`` and
+    ``L.join_irreducibles()`` in that order, the tuple of every
+    checker's ``(theorem_id, hypotheses_hold, conclusion_holds,
+    witness)`` in suite order, and ``report`` is ``classify_lattice(L)``.
+    """
+    rows = []
+    for L in lattices:
+        suites = tuple(
+            tuple(
+                (e.theorem_id, e.hypotheses_hold, e.conclusion_holds, e.witness)
+                for e in run_theorem_suite(L, G).entries
+            )
+            for G in ("all", "principal", L.join_irreducibles())
+        )
+        rows.append((L.name, suites, classify_lattice(L)))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Checker outputs and classification reports, pinned by
+# _checker_output_digest: a changed digest means some entry, witness or
+# report differs.
+CHECKER_OUTPUT_DIGESTS = {
+    "universe5+presets": "e42a62f1506ff8662427e84bd10215ef7d51a5859f0d2b548afc38bd0db5a8f8",
+    "universe7": "171844e6d3aa99bb303d69557e057d7bea67e10ab9634e3d5a1def0864a77873",
+}
+
+
+def test_checker_outputs_frozen(universe5, all_presets):
+    got = _checker_output_digest([*universe5, *all_presets])
+    assert got == CHECKER_OUTPUT_DIGESTS["universe5+presets"]
+
+
+def test_size7_checker_outputs_frozen(universe7):
+    assert len(universe7) == 888
+    got = _checker_output_digest(universe7)
+    assert got == CHECKER_OUTPUT_DIGESTS["universe7"]
