@@ -336,13 +336,10 @@ def _mult_tables(order: OrderTable) -> list[Table]:
     assigned: list[tuple[int, int, int]] = []  # trail for undo, (x, y, x*y)
 
     def set_cell(x: int, y: int, v: int) -> bool:
+        # only empty cells are set, always below the meet: a free domain
+        # lies below it, and u*y v v*y <= (u /\ y) v (v /\ y) <= x /\ y
         if x > y:
             x, y = y, x
-        cur = table[x][y]
-        if cur is not None:
-            return cur == v
-        if not down[meet[x][y]] >> v & 1:
-            return False
         # monotonicity against already-known cells
         dx, dy, ux, uy = down[x], down[y], up[x], up[y]
         dv, uv = down[v], up[v]

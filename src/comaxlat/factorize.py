@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import Elt, FiniteMultLattice, LatticeError, _mask
 
@@ -128,8 +128,7 @@ def refine_by_radical(
     b1..bn with ``b = b1 * ... * bn`` and the radical of each ``bi``
     equal to the radical of ``ai``.  Construction: with ``ci`` the
     product of the other parts, ``bi`` is the join of the quotients
-    ``(b : ci**k)`` over ``k`` up to the power-chain bound of ``ci``;
-    the single-part case returns ``[b]`` directly.
+    ``(b : ci**k)`` over ``k`` up to the power-chain bound of ``ci``.
     """
     parts = list(parts)
     if not parts:
@@ -146,13 +145,21 @@ def refine_by_radical(
         raise PreconditionViolated(
             f"{L.label(b)} does not have the radical of the product of the parts"
         )
-    if len(parts) == 1:
-        return [b]
-    out = []
-    for i in range(len(parts)):
-        c = L.mul(parts[:i] + parts[i + 1:])
-        out.append(L.join(L.quotient(b, ck) for ck in L.power_chain(c)))
-    return out
+    return _radical_lift(L, parts)(b)
+
+
+def _radical_lift(
+    L: FiniteMultLattice, parts: Sequence[Elt]
+) -> Callable[[Elt], list[Elt]]:
+    """:func:`refine_by_radical` through ``parts``, as a function of ``b``.
+
+    Checks nothing: the caller guarantees the preconditions.  Each
+    part's cofactor power chain is computed once, for every ``b``.
+    """
+    chains = [
+        L.power_chain(L.mul(parts[:i] + parts[i + 1:])) for i in range(len(parts))
+    ]
+    return lambda b: [L.join(L.quotient(b, ck) for ck in chain) for chain in chains]
 
 
 def _kind_failure(
@@ -194,7 +201,9 @@ def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
                 f"Min({L.label(a)})={{{min_set}}} not comaximal "
                 f"({L.label(p)} v {L.label(q)} = {L.label(L.join2(p, q))})",
             )
-    factors = refine_by_radical(L, a, list(mins))
+    # minimal primes are proper, and a prime above their product lies
+    # above one of them, so the product has a's radical: the lift applies
+    factors = _radical_lift(L, mins)(a)
     for f in factors:
         reason = _kind_failure(L, f, kind)
         if reason is not None:

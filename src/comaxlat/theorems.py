@@ -34,9 +34,9 @@ from .factorize import (
     _comaximal_walk,
     _factor_kinds,
     _oracle_table,
+    _radical_lift,
     classify_lattice,  # unused here; perfbench/tracing.py wraps it by name
     factor,  # unused here; perfbench/tracing.py wraps it by name
-    refine_by_radical,
 )
 
 __all__ = [
@@ -48,24 +48,6 @@ __all__ = [
     "run_theorem_suite",
     "check_entry",
 ]
-
-THEOREM_IDS = (
-    "lemma_comaximal",
-    "lemma_formulas",
-    "thm_unique_lift",
-    "thm_cpr_criterion",
-    "cor_closure",
-    "thm_treed_from_generators",
-    "cor_compact_equivalences",
-    "thm_cpr_sufficiency",
-    "thm_cq_characterization",
-    "cor_cq_dimension",
-    "lemma_cq_sufficient",
-    "thm_cq_generators",
-    "lemma_prime_principal",
-    "thm_dedekind",
-    "dedekind_dim1",
-)
 
 Generators = Union[str, Sequence[Elt]]
 
@@ -317,7 +299,11 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     are radical too.  The decompositions are the pairwise comaximal
     sets of proper elements, walked as cliques of the comaximality
     graph (:func:`comaximal_sets`), so their number bounds the cost.
-    The scan draws only candidates above b, as every factor of b is.
+    Each decomposition meets the lift's preconditions, so its lift is
+    built once, unchecked, for all its b.  The scan draws only
+    candidates above b, as every factor of b is, and its matches must
+    be the lifted tuple alone: a lifted tuple that breaks the product,
+    the radicals or comaximality is never a match.
     """
     L = ctx.L
     # same_radical[r]: the elements with radical r, in index order
@@ -329,17 +315,8 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
         rads = [L.radical(p) for p in parts]
         if a == ra and any(p != r for p, r in zip(parts, rads)):
             return True, False, parts
+        lift = _radical_lift(L, parts)
         for b in same_radical[ra]:
-            lifted = refine_by_radical(L, b, parts)
-            if L.mul(lifted) != b:
-                return True, False, (b, *parts)
-            if [L.radical(x) for x in lifted] != rads:
-                return True, False, (b, *parts)
-            if any(
-                not L.comaximal(x, y)
-                for x, y in itertools.combinations(lifted, 2)
-            ):
-                return True, False, (b, *parts)
             candidates = [
                 [d for d in same_radical[r] if L.leq(b, d)] for r in rads
             ]
@@ -352,7 +329,7 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
                     for x, y in itertools.combinations(tup, 2)
                 )
             ]
-            if matches != [tuple(lifted)]:
+            if matches != [tuple(lift(b))]:
                 return True, False, (b, *parts)
     return True, True, None
 
@@ -596,7 +573,7 @@ _CHECKERS = {
     "thm_dedekind": _thm_dedekind,
     "dedekind_dim1": _dedekind_dim1,
 }
-assert tuple(_CHECKERS) == THEOREM_IDS
+THEOREM_IDS = tuple(_CHECKERS)
 
 
 def _run_one(ctx: _Ctx, theorem_id: str) -> TheoremEntry:

@@ -30,7 +30,7 @@ def test_refine_identity_on_radical_element():
     assert refine_by_radical(E, b, [c, d]) == [c, d]
 
 
-def test_refine_single_part_returns_element():
+def test_refine_single_part_returns_element(universe_deep):
     L1 = preset("L1")
     a, c = L1.index("a"), L1.index("c")
     assert refine_by_radical(L1, a, [c]) == [a]
@@ -38,6 +38,11 @@ def test_refine_single_part_returns_element():
     for x in L2.proper_elements():
         r = L2.radical(x)
         assert refine_by_radical(L2, x, [r]) == [x]
+    for L in universe_deep:
+        for p in L.proper_elements():
+            for b in L.elements():
+                if L.radical(b) == L.radical(p):
+                    assert refine_by_radical(L, b, [p]) == [b], (L.name, p, b)
 
 
 def test_refine_preconditions():
@@ -53,6 +58,19 @@ def test_refine_preconditions():
     with pytest.raises(PreconditionViolated):
         # radical mismatch: radical(c) is c, not the radical of c*d
         refine_by_radical(E, E.index("c"), [E.index("c"), E.index("d")])
+
+
+def test_min_primes_multiply_to_the_radical(universe_deep, all_presets):
+    # factor lifts the minimal primes without the radical check: a prime
+    # above their product lies above one of them, so the radicals agree
+    cases = 0
+    for L in [*universe_deep, *all_presets]:
+        for a in L.proper_elements():
+            mins = L.min_primes(a)
+            if all(L.comaximal(p, q) for p, q in itertools.combinations(mins, 2)):
+                assert L.radical(a) == L.radical(L.mul(mins)), (L.name, a)
+                cases += 1
+    assert cases > 0
 
 
 def test_refine_output_is_comaximal_with_matching_radicals():

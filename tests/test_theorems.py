@@ -228,11 +228,11 @@ def test_kernels_match_naive_twins(universe_deep, all_presets):
     assert na > 0
 
 
-def _perturbed(L, rng, tables, row=None):
-    """A copy of L with one cell, in the given row or a random one, set to
-    one new value in each of the named tables."""
+def _perturbed(L, rng, tables, row=None, col=None):
+    """A copy of L with one cell, in the given row and column or random
+    ones, set to one new value in each of the named tables."""
     x = rng.randrange(L.n) if row is None else row
-    y = rng.randrange(L.n)
+    y = rng.randrange(L.n) if col is None else col
     old = getattr(L, tables[0])[x][y]
     v = rng.choice([u for u in L.elements() if u != old])
     C = copy.copy(L)
@@ -266,6 +266,23 @@ def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
             failing.update(f"{tid} (top row)" for tid in _assert_kernels_match_naive(C))
     assert failing["lemma_comaximal"] > 0 and failing["lemma_formulas"] > 0, failing
     assert failing["lemma_comaximal (top row)"] > 0, failing
+
+
+def test_unique_lift_fails_on_a_wrong_quotient_by_the_top(universe5):
+    # The lift of b through a single part is (b : 1), so a wrong cell
+    # (b : 1) != b must fail thm_unique_lift, with b as the witness.
+    rng = random.Random(20213)
+    cases = 0
+    for L in universe5:
+        if L.n < 3:
+            continue
+        for b in L.proper_elements():
+            C = _perturbed(L, rng, ("_quot",), row=b, col=L.top)
+            e = check_entry(C, "thm_unique_lift")
+            assert e.conclusion_holds is False, (L.name, b)
+            assert e.witness[0] == L.label(b), (L.name, b, e.witness)
+            cases += 1
+    assert cases == 129
 
 
 def test_kernels_match_naive_twins_at_size_7(universe7):
