@@ -158,12 +158,6 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
-def down_masks(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Down-set masks of an order given by its up-set masks."""
-    n = len(up)
-    return tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
-
-
 def _closure(up: list[int], n: int) -> None:
     """Reflexive-transitive closure of up-set masks, in place."""
     for i in range(n):
@@ -190,38 +184,14 @@ def _extremum(mask: int, cone: tuple[int, ...]) -> Optional[int]:
     return None
 
 
-def order_tables(
-    up: tuple[int, ...], n: int
-) -> tuple[Optional[tuple], Optional[tuple], Optional[tuple[int, int]]]:
-    """Compute join and meet tables for a partial order given by up-set masks.
-
-    Returns ``(join, meet, None)`` on success, or ``(None, None, (i, j))``
-    with a witness pair (as indices) when some bound is missing.
-    """
-    down = down_masks(up)
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            ub = up[i] & up[j]
-            lb = down[i] & down[j]
-            lu = _extremum(ub, up)
-            gl = _extremum(lb, down)
-            if lu is None or gl is None:
-                return None, None, (i, j)
-            join[i][j] = join[j][i] = lu
-            meet[i][j] = meet[j][i] = gl
-    return tuple(map(tuple, join)), tuple(map(tuple, meet)), None
-
-
 class _Order(NamedTuple):
     """Index-level facts of a closed order with a least and a greatest element.
 
     ``join`` and ``meet`` are ``None`` when some pair lacks a bound, and
-    ``missing`` is then the first such pair, as :func:`order_tables`
-    reports it.  ``covers[x]`` lists the lower covers of ``x`` in index
-    order.  ``descending`` is a reverse linear extension: every element
-    comes before all elements strictly below it.
+    ``missing`` is then the first such pair ``(i, j)``, ``i <= j``, in
+    row-major index order.  ``covers[x]`` lists the lower covers of ``x``
+    in index order.  ``descending`` is a reverse linear extension: every
+    element comes before all elements strictly below it.
     """
 
     join: Optional[tuple[tuple[int, ...], ...]]
@@ -242,16 +212,24 @@ def _order_facts(up: tuple[int, ...]) -> _Order:
     large user lattices pile up.
     """
     n = len(up)
-    join, meet, missing = order_tables(up, n)
-    down = down_masks(up)
-    covers = []
-    for x in range(n):
-        below = down[x] & ~(1 << x)
-        covers.append(
-            tuple(i for i in _members(below) if up[i] & below & ~(1 << i) == 0)
-        )
+    down = tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
+    covers = tuple(
+        tuple(i for i in _members(below) if up[i] & below & ~(1 << i) == 0)
+        for below in (down[x] & ~(1 << x) for x in range(n))
+    )
     descending = tuple(sorted(range(n), key=lambda i: bin(up[i]).count("1")))
-    return _Order(join, meet, missing, down, tuple(covers), descending)
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lu = _extremum(up[i] & up[j], up)
+            gl = _extremum(down[i] & down[j], down)
+            if lu is None or gl is None:
+                return _Order(None, None, (i, j), down, covers, descending)
+            join[i][j] = join[j][i] = lu
+            meet[i][j] = meet[j][i] = gl
+    join_t, meet_t = tuple(map(tuple, join)), tuple(map(tuple, meet))
+    return _Order(join_t, meet_t, None, down, covers, descending)
 
 
 def _first_nonassociative(
@@ -347,22 +325,23 @@ class FiniteMultLattice:
         name: str,
         labels: tuple[str, ...],
         up: tuple[int, ...],
-        join: tuple[tuple[int, ...], ...],
-        meet: tuple[tuple[int, ...], ...],
         mul: tuple[tuple[int, ...], ...],
         bottom: int,
         top: int,
     ):
-        # Internal constructor: inputs must already be validated.
+        # Internal constructor: inputs must already be validated.  The
+        # order's tables are kept as aliases of its record, for the kernels'
+        # hot loops.
         self.name = name
         self.labels = labels
         self.n = len(labels)
         self.bottom = bottom
         self.top = top
         self._up = up
-        self._down = _order_facts(up).down
-        self._join = join
-        self._meet = meet
+        self._order = order = _order_facts(up)
+        self._down = order.down
+        self._join = order.join
+        self._meet = order.meet
         self._mul = mul
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._build_caches()
@@ -420,10 +399,10 @@ class FiniteMultLattice:
         if viols:
             raise ValidationError(viols)
         mul = tuple(map(tuple, table))
-        return cls(name, labels, up, order.join, order.meet, mul, bottom, top)
+        return cls(name, labels, up, mul, bottom, top)
 
     def _build_caches(self) -> None:
-        # A lattice has 24 instance attributes.  Keep fewer than 30: from 30
+        # A lattice has 25 instance attributes.  Keep fewer than 30: from 30
         # on, CPython 3.11 stops sharing instance-dict keys between lattices,
         # and every attribute lookup in the methods below gets about 1.5x
         # slower.
@@ -434,7 +413,7 @@ class FiniteMultLattice:
         down = self._down
         top = self.top
         bottom = self.bottom
-        order = _order_facts(up)
+        order = self._order
 
         # Derived facts from the axioms, kept as hard assertions.  Checking
         # monotonicity on the lower covers y of each z suffices: every
@@ -663,9 +642,6 @@ class FiniteMultLattice:
     def is_primary(self, x: Elt) -> bool:
         return bool(self._primary_mask >> x & 1)
 
-    def is_radical_element(self, x: Elt) -> bool:
-        return self._radical[x] == x
-
     def prime_power_witness(self, x: Elt) -> Optional[tuple[Elt, int]]:
         return self._prime_power[x]
 
@@ -682,7 +658,7 @@ class FiniteMultLattice:
         and every generating set contains all of them, so they form the
         smallest generating set of the lattice.
         """
-        covers = _order_facts(self._up).covers
+        covers = self._order.covers
         return tuple(x for x in range(self.n) if len(covers[x]) == 1)
 
     def generates(self, gens: Iterable[Elt]) -> bool:
@@ -691,7 +667,7 @@ class FiniteMultLattice:
         return all(self.join(_members(g & self._down[x])) == x for x in range(self.n))
 
     def lower_covers(self, x: Elt) -> tuple[Elt, ...]:
-        return _order_facts(self._up).covers[x]
+        return self._order.covers[x]
 
     # -- profiles -------------------------------------------------------
 
@@ -723,9 +699,6 @@ class FiniteMultLattice:
     def label(self, x: Elt) -> str:
         return self.labels[x]
 
-    def label_set(self, xs: Iterable[Elt]) -> tuple[str, ...]:
-        return tuple(self.labels[x] for x in sorted(xs))
-
     def index(self, label: str) -> Elt:
         try:
             return self._index[label]
@@ -740,8 +713,9 @@ class FiniteMultLattice:
 
     def to_spec(self) -> LatticeSpec:
         """Serialize back to a spec: covering pairs plus the non-forced products."""
-        order = _order_facts(self._up)
-        covers = sorted((i, j) for j, below in enumerate(order.covers) for i in below)
+        covers = sorted(
+            (i, j) for j, below in enumerate(self._order.covers) for i in below
+        )
         pairs = [(self.labels[i], self.labels[j]) for i, j in covers]
         entries: dict[tuple[str, str], str] = {}
         for i in range(self.n):

@@ -58,7 +58,6 @@ from .core import (
     LatticeError,
     _order_facts,
     multiplication_violations,  # unused here; perfbench/tracing.py wraps it by name
-    order_tables,
 )
 from .factorize import ClassificationReport, classify_lattice
 
@@ -233,25 +232,22 @@ def enumerate_bounded_lattices(
             up = tuple(
                 sum(1 << j for j in range(n) if dmask[j] >> i & 1) for i in range(n)
             )
-            # Not the per-order memo behind from_tables: each labeled order is
-            # checked here once and never again (at size 8, 3,637 labeled
-            # lattice orders reduce to 222 canonical ones), so memoizing
-            # them would only fill the memo.
-            join, meet, missing = order_tables(up, n)
-            if missing is not None:
-                return
             canon, _ = _canonical_order(up)
             found.setdefault(_encode_leq(canon, n), canon)
             return
         if k == n - 1:
             choices = [(1 << k) - 1]  # top lies above everything
         else:
+            # The placed elements form a down-set of the final lattice, so
+            # they are closed under meets: down(k) & down(i) is a placed
+            # down(j).  For i in d this says that d is down-closed.
             base = (1 << k) - 2  # bits 1..k-1 are optional, bit 0 mandatory
+            placed = set(dmask)
             choices = []
             sub = base
             while True:
                 d = sub | 1
-                if all(not d >> i & 1 or dmask[i] | d == d for i in range(1, k)):
+                if all(d & m in placed for m in dmask):
                     choices.append(d)
                 if sub == 0:
                     break
@@ -548,14 +544,20 @@ class SearchQuery:
 def search(
     query: SearchQuery, *, workers: int = 1
 ) -> list[tuple[FiniteMultLattice, ClassificationReport]]:
-    """Matching lattices with their classification reports, deterministic order."""
+    """Matching lattices with their classification reports, deterministic order.
+
+    At most ``query.limit`` matches are returned; a negative limit raises
+    :class:`ValueError`.
+    """
+    if query.limit is not None and query.limit < 0:
+        raise ValueError(f"limit must be at least 0, got {query.limit}")
     cap = HARD_SIZE_CAP if query.allow_size_7 else DEFAULT_SIZE_CAP
     pred = None if query.predicate is None else _compile_predicate(query.predicate)
     out = []
     for L in enumerated_universe(query.size_max, size_cap=cap, workers=workers):
+        if query.limit is not None and len(out) >= query.limit:
+            break
         rep = classify_lattice(L)
         if pred is None or pred(rep):
             out.append((L, rep))
-            if query.limit is not None and len(out) >= query.limit:
-                break
     return out

@@ -266,15 +266,12 @@ def _comaximal_walk(
 
 def _oracle_candidates(L: FiniteMultLattice, kind: FactorKind) -> list[Elt]:
     """The proper elements satisfying the kind's factor condition."""
-
-    def condition(f: Elt) -> bool:
-        if kind is FactorKind.CPR:
-            return L.is_prime(L.radical(f))
-        if kind is FactorKind.CQ:
-            return L.is_primary(f)
-        return L.prime_power_witness(f) is not None
-
-    return [f for f in L.proper_elements() if condition(f)]
+    # primary elements and prime powers have prime radicals
+    return [
+        f
+        for f in L.proper_elements()
+        if L.is_prime(L.radical(f)) and _kind_failure(L, f, kind) is None
+    ]
 
 
 def oracle_factorizations(

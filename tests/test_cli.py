@@ -237,27 +237,52 @@ def test_enumerate_catalog(tmp_path, capsys):
     assert main(["validate", str(out / "U3_0_1.json")]) == 0
 
 
-# Frozen output of `enumerate --size 6 --out DIR`: stdout, and the sha256
-# over the catalog files sorted by name, each hashed as name then bytes.
+# Frozen output of `enumerate --size N --out DIR`: stdout, the file count,
+# and the sha256 over the catalog files sorted by name, each hashed as name
+# then bytes.
 SIZE6_STDOUT = (
     "size=1 lattices=0\nsize=2 lattices=1\nsize=3 lattices=2\n"
     "size=4 lattices=7\nsize=5 lattices=26\nsize=6 lattices=129\ntotal=165\n"
 )
-SIZE6_CATALOG_FILES = 166
-SIZE6_CATALOG_SHA256 = "b5d8f510ca3d68aeaa7ad8049acb2b25f80ef4a64bd7c428a3a157d3c8aa4f2a"
+FROZEN_CATALOGS = {
+    6: (
+        SIZE6_STDOUT,
+        166,
+        "b5d8f510ca3d68aeaa7ad8049acb2b25f80ef4a64bd7c428a3a157d3c8aa4f2a",
+    ),
+    7: (
+        SIZE6_STDOUT.replace("total=165", "size=7 lattices=723\ntotal=888"),
+        889,
+        "66938dfb9296f8cc76a52a655a08d2a53828bfb66575bdd939f8c9c4991d3d6b",
+    ),
+}
 
 
-def test_enumerate_size6_catalog_frozen(tmp_path, capsys):
+def _assert_catalog_frozen(size, tmp_path, capsys):
+    stdout, count, sha256 = FROZEN_CATALOGS[size]
     out = tmp_path / "cat"
-    assert main(["enumerate", "--size", "6", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == SIZE6_STDOUT
+    argv = ["enumerate", "--size", str(size), "--out", str(out)]
+    if size == 7:
+        argv.append("--allow-size-7")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout
     files = sorted(out.iterdir(), key=lambda p: p.name)
-    assert len(files) == SIZE6_CATALOG_FILES
+    assert len(files) == count
     h = hashlib.sha256()
     for path in files:
         h.update(path.name.encode())
         h.update(path.read_bytes())
-    assert h.hexdigest() == SIZE6_CATALOG_SHA256
+    assert h.hexdigest() == sha256
+
+
+def test_enumerate_size6_catalog_frozen(tmp_path, capsys):
+    _assert_catalog_frozen(6, tmp_path, capsys)
+
+
+def test_enumerate_size7_catalog_frozen(request, tmp_path, capsys):
+    if not request.config.getoption("--size7"):
+        pytest.skip("needs --size7")
+    _assert_catalog_frozen(7, tmp_path, capsys)
 
 
 def test_console_entry_point_via_subprocess(tmp_path):

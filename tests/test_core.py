@@ -20,10 +20,10 @@ from comaxlat.core import (
     InvalidSpec,
     LatticeSpec,
     ValidationError,
+    _order_facts,
     default_labels,
     mul_key,
     multiplication_violations,
-    order_tables,
     validate_lattice,
 )
 from comaxlat.presets import preset, preset_spec
@@ -393,10 +393,20 @@ def test_lattice_keeps_fewer_than_30_attributes():
 def _chain_lattice(mul):
     """Call the internal constructor on the chain 0 < a < b < 1, unvalidated."""
     up = (0b1111, 0b1110, 0b1100, 0b1000)
-    join, meet, _ = order_tables(up, 4)
-    return FiniteMultLattice(
-        "chain", ("0", "a", "b", "1"), up, join, meet, mul, 0, 3
-    )
+    return FiniteMultLattice("chain", ("0", "a", "b", "1"), up, mul, 0, 3)
+
+
+def test_lattice_reads_its_own_order_record():
+    # A lattice keeps its order record, so an order that has left the memo
+    # is not derived again by the methods that read its covers.
+    lattices = [boolean_lattice(3), chain_lattice(6)]
+    _order_facts.cache_clear()
+    for L in lattices:
+        before = _order_facts.cache_info().misses
+        L.lower_covers(L.top)
+        L.join_irreducibles()
+        L.to_spec()
+        assert _order_facts.cache_info().misses == before, L.name
 
 
 def test_constructor_asserts_product_below_meet_and_monotone():

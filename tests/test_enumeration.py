@@ -374,6 +374,9 @@ def test_search_custom_conjunctions():
 def test_search_limit_and_unknown_predicate():
     hits = search(SearchQuery(size_max=5, predicate="cq_not_cpp", limit=3))
     assert len(hits) == 3
+    assert search(SearchQuery(size_max=4, predicate=None, limit=0)) == []
+    with pytest.raises(ValueError, match="limit"):
+        search(SearchQuery(size_max=4, predicate=None, limit=-3))
     with pytest.raises(UnknownPredicate):
         search(SearchQuery(size_max=4, predicate="frobnicated"))
     with pytest.raises(UnknownPredicate):
