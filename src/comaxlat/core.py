@@ -408,30 +408,16 @@ class FiniteMultLattice:
         # slower.
         n = self.n
         mul = self._mul
-        meet = self._meet
         up = self._up
         down = self._down
         top = self.top
         bottom = self.bottom
-        order = self._order
-
-        # Derived facts from the axioms, kept as hard assertions.  Checking
-        # monotonicity on the lower covers y of each z suffices: every
-        # y <= z is joined to z by a chain of covers.
-        for x in range(n):
-            row, meet_row = mul[x], meet[x]
-            for y in range(n):
-                assert down[meet_row[y]] >> row[y] & 1, "product must lie below the meet"
-        for z, covers in enumerate(order.covers):
-            for y in covers:
-                for row in mul:
-                    assert down[row[z]] >> row[y] & 1, "product must be monotone"
 
         # quotient table: quot[y][x] = largest a with a*x <= y.  The a with
         # a*x <= y form a down-set closed under joins (the product is
         # monotone and distributes over joins), so its greatest element is
         # the first of them in a reverse linear extension.
-        descending = order.descending
+        descending = self._order.descending
         quot = []
         for dy in down:
             row = []
@@ -452,7 +438,6 @@ class FiniteMultLattice:
                 nxt = mul[chain[-1]][x]
                 if nxt == chain[-1]:
                     break
-                assert self.leq(nxt, chain[-1]), "powers must decrease"
                 chain.append(nxt)
             chains.append(tuple(chain))
         self._powers = tuple(chains)
@@ -468,11 +453,6 @@ class FiniteMultLattice:
         self._maximal_mask = _mask(
             i for i in range(n) if i != top and up[i] & ~(1 << i) == 1 << top
         )
-        # Every proper element lies below some maximal element.
-        for x in range(n):
-            if x != top:
-                assert up[x] & self._maximal_mask
-        assert self._primes, "the spectrum of a finite lattice is nonempty"
 
         self._radical = tuple(self.meet(_members(primes & up[a])) for a in range(n))
         self._min_primes = tuple(

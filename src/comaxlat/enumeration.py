@@ -78,6 +78,8 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 6
 HARD_SIZE_CAP = 7
+# canonical_form tries all (n-2)! relabelings: 40,320 at 10 elements
+_CANONICAL_FORM_MAX = 10
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -194,9 +196,14 @@ def canonical_form(L: FiniteMultLattice) -> bytes:
     Two lattices get the same form exactly when some bijection preserves
     both the order and the product.  The form is the minimum, over all
     relabelings sending the bottom to 0 and the top to n-1, of the
-    concatenated order and product tables.
+    concatenated order and product tables.  Raises
+    :class:`SizeCapExceeded` above 10 elements.
     """
     n = L.n
+    if n > _CANONICAL_FORM_MAX:
+        raise SizeCapExceeded(
+            f"canonical_form takes at most {_CANONICAL_FORM_MAX} elements, got {n}"
+        )
     # move the bounds to 0 and n-1, keeping the other elements in order
     mids = [i for i in range(n) if i not in (L.bottom, L.top)]
     bounds_out = [0] * n
@@ -283,9 +290,10 @@ def order_automorphisms(order: OrderTable) -> list[tuple[int, ...]]:
 def _mult_tables(order: OrderTable) -> list[Table]:
     """All axiom-satisfying multiplication tables on the order (raw search).
 
-    Branches only on products of proper join-irreducible pairs; the
-    rest is forced by distributivity, propagated over every incomparable
-    pair of proper elements and its join, the top included.
+    Branches only on products of proper join-irreducible pairs, the
+    elements with one lower cover in the order record; the rest is
+    forced by distributivity, propagated over every incomparable pair of
+    proper elements and its join, the top included.
     Monotonicity and associativity on join-irreducibles prune partial
     tables; a completed table is kept when every triple of
     join-irreducibles associates.  The full axiom check is left to
@@ -296,18 +304,18 @@ def _mult_tables(order: OrderTable) -> list[Table]:
     if B == T:
         return []  # a one-element structure collapses bottom and top
     join, meet, up = order.join, order.meet, order.up
-    down = _order_facts(up).down
+    facts = _order_facts(up)
+    down = facts.down
     mids = [i for i in range(n) if i not in (B, T)]
+    # one lower cover, as in FiniteMultLattice.join_irreducibles
+    jirr = [x for x in mids if len(facts.covers[x]) == 1]
 
-    # every incomparable pair of proper elements, with its join; an
-    # element is join-irreducible exactly when no such pair joins to it
+    # every incomparable pair of proper elements, with its join
     joins = [
         (join[u][v], u, v)
         for u, v in itertools.combinations(mids, 2)
         if not (up[u] >> v | up[v] >> u) & 1
     ]
-    reducible = {x for x, _, _ in joins}
-    jirr = [x for x in mids if x not in reducible]
 
     table: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for x in range(n):

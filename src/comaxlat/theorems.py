@@ -173,11 +173,13 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     product depends only on ``a``, the product so far and the number of
     factors left, so it is found once per such triple; visiting the ci
     in index order reports the same first failing tuple as the full
-    product over the lattice.
+    product over the lattice.  The quotient, join, meet and product
+    tables are the lattice's own.
     """
     L = ctx.L
     els = L.elements()
-    cm = [_mask(c for c in els if L.comaximal(a, c)) for a in els]
+    quot, join, meet, mul = L._quot, L._join, L._meet, L._mul
+    cm = [_mask(c for c in els if row[c] == L.top) for row in join]
     chain = [_mask(L.power_chain(a)) for a in els]
     every = [reduce(operator.and_, (cm[x] for x in L.power_chain(a))) for a in els]
     some = [reduce(operator.or_, (cm[x] for x in L.power_chain(a))) for a in els]
@@ -186,7 +188,7 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
         row, rad_row, all_mask, any_mask = cm[a], cm[rad[a]], every[a], some[a]
         for b in els:
             c1 = bool(row >> b & 1)
-            if c1 and (L.meet2(a, b) != L.mul2(a, b) or L.quotient(a, b) != a):
+            if c1 and (meet[a][b] != mul[a][b] or quot[a][b] != a):
                 return True, False, (a, b)
             powers = chain[b]
             if not (
@@ -197,7 +199,6 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
             ):
                 return True, False, (a, b)
 
-    mul = [[L.mul2(r, c) for c in els] for r in els]
     comax = [_members(row) for row in cm]
     memo: dict[tuple[Elt, Elt, int], Optional[tuple[Elt, ...]]] = {}
 
@@ -242,14 +243,12 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
     longer length (a join need not be idempotent in a table that breaks
     the axioms), so each sequence keeps its padded form and that form's
     join, folded from the bottom as ``L.join`` does, for every length
-    it meets.
+    it meets.  The quotient, join and meet tables are the lattice's own.
     """
     L = ctx.L
     els = L.elements()
     bottom = L.bottom
-    quot = [[L.quotient(y, x) for x in els] for y in els]
-    join = [[L.join2(x, y) for y in els] for x in els]
-    meet = [[L.meet2(x, y) for y in els] for x in els]
+    quot, join, meet = L._quot, L._join, L._meet
     chains = [L.power_chain(c) for c in els]
     firsts: dict[tuple[Elt, ...], tuple[Elt, Elt]] = {}
     for b in els:

@@ -390,12 +390,6 @@ def test_lattice_keeps_fewer_than_30_attributes():
     assert len(vars(preset("L1"))) < 30
 
 
-def _chain_lattice(mul):
-    """Call the internal constructor on the chain 0 < a < b < 1, unvalidated."""
-    up = (0b1111, 0b1110, 0b1100, 0b1000)
-    return FiniteMultLattice("chain", ("0", "a", "b", "1"), up, mul, 0, 3)
-
-
 def test_lattice_reads_its_own_order_record():
     # A lattice keeps its order record, so an order that has left the memo
     # is not derived again by the methods that read its covers.
@@ -409,17 +403,25 @@ def test_lattice_reads_its_own_order_record():
         assert _order_facts.cache_info().misses == before, L.name
 
 
-def test_constructor_asserts_product_below_meet_and_monotone():
+def test_from_tables_rejects_product_above_meet_and_non_monotone():
+    # The facts "product below the meet" and "monotone" follow from the
+    # axioms, so the axiom scan of from_tables is what rejects these tables.
+    up = (0b1111, 0b1110, 0b1100, 0b1000)  # the chain 0 < a < b < 1
+    labels = ("0", "a", "b", "1")
     valid = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3))
-    _chain_lattice(valid)
+    assert FiniteMultLattice.from_tables(up, valid, 0, 3, labels).n == 4
+    # a*b = b lies above the meet a: a*(b v 1) = a but a*b v a*1 = b
     above_meet = ((0, 0, 0, 0), (0, 1, 2, 1), (0, 2, 2, 2), (0, 1, 2, 3))
-    with pytest.raises(AssertionError, match="below the meet"):
-        _chain_lattice(above_meet)
     # a*a = a*b = a but b*b = 0: every product lies below the meet, yet
     # a <= b while a*b is not below b*b
     non_monotone = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 0, 2), (0, 1, 2, 3))
-    with pytest.raises(AssertionError, match="monotone"):
-        _chain_lattice(non_monotone)
+    for mul, expect in (
+        (above_meet, ["NotDistributive a b 1"]),
+        (non_monotone, ["NotAssociative a b b", "NotDistributive b a b"]),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            FiniteMultLattice.from_tables(up, mul, 0, 3, labels)
+        assert [str(v) for v in exc.value.violations] == expect
 
 
 @pytest.mark.parametrize("universe", ["universe_deep", "universe7"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bruteforce import (
     axioms_hold,
     canonical_form_by_all_relabelings,
+    chain_lattice,
     count_bounded_lattices,
     count_iso_classes,
     naive_multiplications,
@@ -216,6 +217,15 @@ def test_size_cap():
         enumerated_universe(7)
     with pytest.raises(SizeCapExceeded):
         search(SearchQuery(size_max=7, predicate="not_cpr"))
+
+
+def test_canonical_form_refuses_more_than_10_elements():
+    # 11 elements would mean 9! relabelings; none may be built or cached
+    L = chain_lattice(11)
+    before = enumeration._relabelings.cache_info().currsize
+    with pytest.raises(SizeCapExceeded, match="at most 10 elements, got 11"):
+        canonical_form(L)
+    assert enumeration._relabelings.cache_info().currsize == before
 
 
 def test_size7_orders_behind_flag(deep_size):

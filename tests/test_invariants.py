@@ -3,7 +3,8 @@
 Everything quantified is checked over all tuples for every enumerated
 lattice up to size 5 (size 6 with --size6) plus the built-ins; the
 radical identity is checked against an independently computed
-definitional form.
+definitional form.  The facts that follow from the axioms also run on
+five larger lattices, and on every lattice up to size 7 with --size7.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from bruteforce import (
     is_primary_naive,
     is_prime_naive,
     min_primes_naive,
+    product_lattice,
     radical_by_nilpotents,
 )
 from comaxlat.core import LatticeSpec, validate_lattice
@@ -32,17 +34,57 @@ def lattices(universe_deep, all_presets):
     return list(universe_deep) + list(all_presets)
 
 
-def test_product_below_meet(lattices):
-    for L in lattices:
-        for x, y in itertools.product(L.elements(), repeat=2):
-            assert L.leq(L.mul2(x, y), L.meet2(x, y))
+@pytest.fixture(scope="module")
+def shapes(lattices):
+    """The lattices above plus a larger Boolean lattice, a longer chain and
+    three direct products, for the facts that follow from the axioms."""
+    L1, L3, E16 = preset("L1"), preset("L3"), preset("E16")
+    return lattices + [
+        boolean_lattice(4),
+        chain_lattice(8),
+        product_lattice(L1, L3),
+        product_lattice(E16, chain_lattice(3)),
+        product_lattice(boolean_lattice(2), L3),
+    ]
 
 
-def test_product_monotone(lattices):
-    for L in lattices:
-        for x, y, z in itertools.product(L.elements(), repeat=3):
-            if L.leq(y, z):
-                assert L.leq(L.mul2(x, y), L.mul2(x, z))
+# The facts below follow from the axioms that from_tables checks, so no
+# code path re-proves them; these tests are where they stay checked.
+
+
+def _product_below_meet(L):
+    for x, y in itertools.product(L.elements(), repeat=2):
+        assert L.leq(L.mul2(x, y), L.meet2(x, y)), (L.name, x, y)
+
+
+def _product_monotone(L):
+    for x, y, z in itertools.product(L.elements(), repeat=3):
+        if L.leq(y, z):
+            assert L.leq(L.mul2(x, y), L.mul2(x, z)), (L.name, x, y, z)
+
+
+def _power_chain_strictly_decreases(L):
+    for x in L.elements():
+        chain = L.power_chain(x)
+        for fst, snd in zip(chain, chain[1:]):
+            assert L.leq(snd, fst) and snd != fst, (L.name, x)
+        last = chain[-1]
+        assert L.mul2(last, x) == last, (L.name, x)
+
+
+def _proper_elements_below_a_maximal_one(L):
+    for x in L.proper_elements():
+        assert any(L.leq(x, m) for m in L.max_elements()), (L.name, x)
+
+
+def test_product_below_meet(shapes):
+    for L in shapes:
+        _product_below_meet(L)
+
+
+def test_product_monotone(shapes):
+    for L in shapes:
+        _product_monotone(L)
 
 
 def test_radical_agreement(lattices):
@@ -145,20 +187,24 @@ def test_nonzero_principal_elements_cancel_in_domain(lattices):
                     assert a == b
 
 
-def test_power_chains_strictly_decrease(lattices):
-    for L in lattices:
-        for x in L.elements():
-            chain = L.power_chain(x)
-            for fst, snd in zip(chain, chain[1:]):
-                assert L.leq(snd, fst) and snd != fst
-            last = chain[-1]
-            assert L.mul2(last, x) == last
+def test_power_chains_strictly_decrease(shapes):
+    for L in shapes:
+        _power_chain_strictly_decreases(L)
 
 
-def test_every_proper_element_below_a_maximal_one(lattices):
-    for L in lattices:
-        for x in L.proper_elements():
-            assert any(L.leq(x, m) for m in L.max_elements())
+def test_every_proper_element_below_a_maximal_one(shapes):
+    for L in shapes:
+        _proper_elements_below_a_maximal_one(L)
+
+
+def test_derived_facts_at_size_7(universe7):
+    assert len(universe7) == 888
+    for L in universe7:
+        _product_below_meet(L)
+        _product_monotone(L)
+        _power_chain_strictly_decreases(L)
+        _proper_elements_below_a_maximal_one(L)
+        assert L.spectrum(), L.name
 
 
 # -- property-based: relabeling invariance -------------------------------------
