@@ -312,7 +312,8 @@ class FiniteMultLattice:
 
     Elements are the indices ``0 .. n-1`` into ``labels``; all derived
     data (join/meet/product/quotient tables, the spectrum, radicals,
-    power chains, element predicates) is precomputed at construction.
+    power chains, element predicates) is precomputed at construction,
+    except principality, which is scanned when asked.
     Set-valued results are returned as tuples sorted by element index.
 
     Construct through :meth:`from_tables`, which checks every axiom
@@ -402,7 +403,7 @@ class FiniteMultLattice:
         return cls(name, labels, up, mul, bottom, top)
 
     def _build_caches(self) -> None:
-        # A lattice has 25 instance attributes.  Keep fewer than 30: from 30
+        # A lattice has 23 instance attributes.  Keep fewer than 30: from 30
         # on, CPython 3.11 stops sharing instance-dict keys between lattices,
         # and every attribute lookup in the methods below gets about 1.5x
         # slower.
@@ -470,9 +471,6 @@ class FiniteMultLattice:
                     pp[v] = (p, k)
         self._prime_power = tuple(pp)
 
-        self._mp_mask = _mask(m for m in range(n) if self._mp_scan(m))
-        self._jp_mask = _mask(j for j in range(n) if self._jp_scan(j))
-
         # dimension: longest strict chain (edge count) in the prime poset
         height: dict[int, int] = {}
         for p in sorted(self._primes, key=lambda q: bin(down[q]).count("1")):
@@ -489,44 +487,45 @@ class FiniteMultLattice:
                 for p, q in itertools.combinations(self._primes, 2)
                 if not self.leq(p, q) and not self.leq(q, p)
             ),
+            # every generating set holds the join-irreducibles, which generate
             generated_by_principal=self.generates(
-                _members(self._mp_mask & self._jp_mask)
+                self._principal(self.join_irreducibles())
             ),
         )
 
     # -- predicate scans ----------------------------------------------
+    # Run when asked.  Over every b they decide the strong notions; the
+    # weak ones are the same identities at b = 1 (meet) and b = 0 (join).
 
-    def _mp_scan(self, m: int) -> bool:
-        # a /\ b*m == ((a:m) /\ b) * m for all a, b
+    def _mp_scan(self, m: int, bs: Sequence[int]) -> bool:
+        # a /\ b*m == ((a:m) /\ b) * m for all a and every b in bs
         meet, quot = self._meet, self._quot
         colm = self._mul[m]
         for a, meet_a in enumerate(meet):
             meet_q = meet[quot[a][m]]
-            for b, bm in enumerate(colm):
-                if meet_a[bm] != colm[meet_q[b]]:
+            for b in bs:
+                if meet_a[colm[b]] != colm[meet_q[b]]:
                     return False
         return True
 
-    def _wmp_scan(self, m: int) -> bool:
-        meet, mul, quot = self._meet, self._mul, self._quot
-        return all(meet[m][a] == mul[quot[a][m]][m] for a in range(self.n))
-
-    def _jp_scan(self, j: int) -> bool:
-        # ((a*j \/ b) : j) == a \/ (b:j) for all a, b
+    def _jp_scan(self, j: int, bs: Sequence[int]) -> bool:
+        # ((a*j \/ b) : j) == a \/ (b:j) for all a and every b in bs
         join = self._join
         colj = self._mul[j]
         qj = [row[j] for row in self._quot]  # qj[y] = (y : j)
         for a, join_a in enumerate(join):
             join_aj = join[colj[a]]
-            for b, bj in enumerate(qj):
-                if qj[join_aj[b]] != join_a[bj]:
+            for b in bs:
+                if qj[join_aj[b]] != join_a[qj[b]]:
                     return False
         return True
 
-    def _wjp_scan(self, j: int) -> bool:
-        join, mul, quot = self._join, self._mul, self._quot
-        z = quot[self.bottom][j]
-        return all(quot[mul[a][j]][j] == join[a][z] for a in range(self.n))
+    def _principal(self, xs: Iterable[Elt]) -> tuple[Elt, ...]:
+        """The members of ``xs`` that are meet- and join-principal."""
+        every = range(self.n)
+        return tuple(
+            x for x in xs if self._jp_scan(x, every) and self._mp_scan(x, every)
+        )
 
     # -- basic order and monoid operations -----------------------------
 
@@ -626,10 +625,11 @@ class FiniteMultLattice:
         return self._prime_power[x]
 
     def principal_elements(self) -> tuple[Elt, ...]:
-        return _members(self._mp_mask & self._jp_mask)
+        return self._principal(range(self.n))
 
     def join_principal_elements(self) -> tuple[Elt, ...]:
-        return _members(self._jp_mask)
+        every = range(self.n)
+        return tuple(j for j in every if self._jp_scan(j, every))
 
     def join_irreducibles(self) -> tuple[Elt, ...]:
         """Elements with exactly one lower cover.
@@ -653,8 +653,9 @@ class FiniteMultLattice:
 
     def element_profile(self, x: Elt) -> ElementProfile:
         witness = self._prime_power[x]
-        mp = bool(self._mp_mask >> x & 1)
-        jp = bool(self._jp_mask >> x & 1)
+        every = range(self.n)
+        mp = self._mp_scan(x, every)
+        jp = self._jp_scan(x, every)
         return ElementProfile(
             is_proper=x != self.top,
             is_prime=bool(self._prime_mask >> x & 1),
@@ -665,9 +666,9 @@ class FiniteMultLattice:
             prime_power_witness=witness,
             is_compact=True,
             is_meet_principal=mp,
-            is_weak_meet_principal=self._wmp_scan(x),
+            is_weak_meet_principal=self._mp_scan(x, (self.top,)),
             is_join_principal=jp,
-            is_weak_join_principal=self._wjp_scan(x),
+            is_weak_join_principal=self._jp_scan(x, (self.bottom,)),
             is_principal=mp and jp,
         )
 

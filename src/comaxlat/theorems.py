@@ -106,10 +106,6 @@ class _Ctx:
         """For each kind, the bitmask of proper elements factoring with it."""
         return _factor_kinds(self.L)
 
-    def admits(self, a: Elt, kind: FactorKind) -> bool:
-        """Whether the proper element ``a`` factors with the given kind."""
-        return bool(self.kinds[kind] >> a & 1)
-
     @cached_property
     def classification(self):
         return _classify(self.L, self.kinds)
@@ -343,6 +339,7 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
     """
     L = ctx.L
     oracle = _oracle_table(L, FactorKind.CPR)
+    cpr = ctx.kinds[FactorKind.CPR]
     for a in L.proper_elements():
         found = oracle[a]
         mins = L.min_primes(a)
@@ -351,10 +348,9 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
         )
         if len(found) > 1 or (len(found) == 1) != comax:
             return True, False, (a,)
-        if ctx.admits(a, FactorKind.CPR) != comax:
+        if bool(cpr >> a & 1) != comax:
             return True, False, (a,)
-    all_factor = all(ctx.admits(a, FactorKind.CPR) for a in L.proper_elements())
-    if all_factor != ctx.profile.is_treed:
+    if ctx.classification.is_cpr_lattice != ctx.profile.is_treed:
         return True, False, None
     return True, True, None
 
@@ -362,18 +358,20 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
 def _cor_closure(ctx: _Ctx) -> _Result:
     """In a treed lattice the factorable elements are closed under
     products, binary meets and binary joins; the minimal primes of the
-    combination stay inside the union of the minimal primes."""
+    combination stay inside the union of the minimal primes.  The pairs
+    come from the CPR mask in index order; minimal primes compare as masks."""
     L = ctx.L
     if not ctx.profile.is_treed:
         return False, None, None
-    for x, y in itertools.combinations_with_replacement(L.proper_elements(), 2):
-        if not (ctx.admits(x, FactorKind.CPR) and ctx.admits(y, FactorKind.CPR)):
-            continue
-        allowed = set(L.min_primes(x)) | set(L.min_primes(y))
-        for combo in (L.mul2(x, y), L.meet2(x, y), L.join2(x, y)):
-            if not set(L.min_primes(combo)) <= allowed:
+    cpr = ctx.kinds[FactorKind.CPR]
+    mins = [_mask(L.min_primes(a)) for a in L.elements()]
+    mul, meet, join = L._mul, L._meet, L._join
+    for x, y in itertools.combinations_with_replacement(_members(cpr), 2):
+        allowed = mins[x] | mins[y]
+        for combo in (mul[x][y], meet[x][y], join[x][y]):
+            if mins[combo] & ~allowed:
                 return True, False, (x, y, combo)
-            if combo != L.top and not ctx.admits(combo, FactorKind.CPR):
+            if combo != L.top and not cpr >> combo & 1:
                 return True, False, (x, y, combo)
     return True, True, None
 
@@ -396,7 +394,7 @@ def _cor_compact_equivalences(ctx: _Ctx) -> _Result:
     L = ctx.L
     if not ctx.gens_generate:
         return False, None, None
-    c1 = all(ctx.admits(k, FactorKind.CPR) for k in L.proper_elements())
+    c1 = ctx.classification.is_cpr_lattice
     c2 = FactorKind.CPR in ctx.gen_products_admit
     c3 = ctx.profile.is_treed and all(
         len(L.min_primes(k)) < L.n + 1 for k in L.elements()
@@ -446,7 +444,7 @@ def _thm_cq_characterization(ctx: _Ctx) -> _Result:
     L = ctx.L
     oracle = _oracle_table(L, FactorKind.CQ)
     lhs = all(len(oracle[a]) == 1 for a in L.proper_elements())
-    rhs = all(ctx.admits(a, FactorKind.CPR) for a in L.proper_elements()) and all(
+    rhs = ctx.classification.is_cpr_lattice and all(
         L.is_primary(a)
         for a in L.proper_elements()
         if L.is_prime(L.radical(a))
@@ -516,11 +514,10 @@ def _lemma_prime_principal(ctx: _Ctx) -> _Result:
     on the 2-chain only, as principal elements are join-principal (see
     :func:`_cor_cq_dimension`)."""
     L = ctx.L
-    principal = set(L.principal_elements())
     hyp = (
         ctx.profile.is_domain
         and ctx.profile.generated_by_principal
-        and all(p in principal for p in L.spectrum())
+        and set(L.spectrum()) <= set(L.principal_elements())
     )
     if not hyp:
         return False, None, None
@@ -537,11 +534,8 @@ def _thm_dedekind(ctx: _Ctx) -> _Result:
     if not (ctx.profile.is_domain and ctx.profile.generated_by_principal):
         return False, None, None
     lhs = ctx.classification.is_dedekind
-    rhs = all(
-        ctx.admits(x, FactorKind.CPP)
-        for x in L.principal_elements()
-        if x not in (L.bottom, L.top)
-    )
+    bounds = 1 << L.bottom | 1 << L.top
+    rhs = not _mask(L.principal_elements()) & ~bounds & ~ctx.kinds[FactorKind.CPP]
     return True, lhs == rhs, None
 
 

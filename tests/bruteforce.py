@@ -103,6 +103,12 @@ def meet_principal_naive(L: FiniteMultLattice, m: int) -> bool:
     )
 
 
+def weak_meet_principal_naive(L: FiniteMultLattice, m: int) -> bool:
+    """a /\\ m == (a:m) * m for all a."""
+    meet, mul, quot = L._meet, L._mul, L._quot
+    return all(meet[a][m] == mul[quot[a][m]][m] for a in range(L.n))
+
+
 def join_principal_naive(L: FiniteMultLattice, j: int) -> bool:
     """((a*j \\/ b) : j) == a \\/ (b:j) for all a, b."""
     join, mul, quot = L._join, L._mul, L._quot
@@ -111,6 +117,13 @@ def join_principal_naive(L: FiniteMultLattice, j: int) -> bool:
         for a in range(L.n)
         for b in range(L.n)
     )
+
+
+def weak_join_principal_naive(L: FiniteMultLattice, j: int) -> bool:
+    """(a*j : j) == a \\/ (0:j) for all a."""
+    join, mul, quot = L._join, L._mul, L._quot
+    zero = quot[L.bottom][j]
+    return all(quot[mul[a][j]][j] == join[a][zero] for a in range(L.n))
 
 
 def count_bounded_lattices(n: int) -> int:

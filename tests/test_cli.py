@@ -102,6 +102,31 @@ def test_parse_errors_exit_2(capsys, tmp_path, preset_file):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), name
         assert captured.out == ""
+    # each malformed lattice file is rejected with its own message
+    base = {
+        "name": "t",
+        "elements": ["0", "a", "b", "1"],
+        "leq": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+        "mul": {"a a": "a", "a b": "0", "b b": "b"},
+    }
+    for change, message in (
+        ({"elements": ["0", "a", "a", "1"]}, "element labels must be distinct"),
+        ({"elements": ["0", "a b", "1"]}, "bad element label 'a b'"),
+        ({"elements": ["0", "", "1"]}, "bad element label ''"),
+        ({"bottom": "z"}, "bottom label 'z' is not an element"),
+        ({"leq": [["0", "z"]]}, "leq pair ['0', 'z'] uses unknown labels"),
+        ({"leq": [["0"]]}, "bad leq pair ['0']"),
+        ({"mul": {"a": "a"}}, "bad product key 'a' (want 'x y')"),
+        ({"mul": {"a z": "a"}}, "product key 'a z' uses unknown labels"),
+        ({"mul": {"a a": "z"}}, "product value 'z' is not an element"),
+        ({"mul": {"a b": "0", "b a": "a"}}, "conflicting products for 'a' and 'b'"),
+        ({"name": 1}, "name must be a string"),
+        (None, "top-level value must be an object"),
+    ):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps([] if change is None else {**base, **change}))
+        assert main(["validate", str(path)]) == 2, message
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_factor_success_line(capsys, preset_file):

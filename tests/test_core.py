@@ -1,8 +1,10 @@
 """Core model: validation, order/monoid operations, element predicates."""
 
+import hashlib
 import random
 import string
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
@@ -14,6 +16,8 @@ from bruteforce import (
     meet_principal_naive,
     product_lattice,
     quotient_table_naive,
+    weak_join_principal_naive,
+    weak_meet_principal_naive,
 )
 from comaxlat.core import (
     FiniteMultLattice,
@@ -438,10 +442,65 @@ def test_residual_and_principality_tables_match_naive_twins(
     ]
     for L in lattices:
         assert L._quot == quotient_table_naive(L), L.name
-        mp = {m for m in L.elements() if meet_principal_naive(L, m)}
-        jp = {j for j in L.elements() if join_principal_naive(L, j)}
-        assert L._mp_mask == sum(1 << m for m in mp), L.name
-        assert L._jp_mask == sum(1 << j for j in jp), L.name
+        naive = [
+            (
+                meet_principal_naive(L, x),
+                weak_meet_principal_naive(L, x),
+                join_principal_naive(L, x),
+                weak_join_principal_naive(L, x),
+            )
+            for x in L.elements()
+        ]
+        got = [
+            (p.is_meet_principal, p.is_weak_meet_principal,
+             p.is_join_principal, p.is_weak_join_principal)
+            for p in map(L.element_profile, L.elements())
+        ]
+        assert got == naive, L.name
+        mp = tuple(x for x, flags in enumerate(naive) if flags[0])
+        jp = tuple(x for x, flags in enumerate(naive) if flags[2])
+        assert L.principal_elements() == tuple(x for x in mp if x in jp), L.name
+        assert L.join_principal_elements() == jp, L.name
+        assert L.lattice_profile().generated_by_principal == L.generates(
+            L.principal_elements()
+        ), L.name
+
+
+def _profile_digest(lattices) -> str:
+    """sha256 over one ``repr`` per lattice, in the given order, of
+    ``(name, element profiles, lattice profile, principal elements,
+    join-principal elements)``, the profiles as tuples."""
+    h = hashlib.sha256()
+    for L in lattices:
+        row = (
+            L.name,
+            [astuple(L.element_profile(x)) for x in L.elements()],
+            astuple(L.lattice_profile()),
+            L.principal_elements(),
+            L.join_principal_elements(),
+        )
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+# Element and lattice profiles and the principal sets, pinned by
+# _profile_digest: a changed digest means some predicate flag differs.
+PROFILE_DIGESTS = {
+    "universe5+presets": "3d4f481337d60a27c770432cdf603b1b5f9e32afd1ccd4200623545e8c8c043a",
+    "universe7+presets": "3f54ad714769573e6c27783166c33b2a37541819ba3a4ed38397c0a2f6256f44",
+}
+
+
+def test_profiles_frozen(universe5, all_presets):
+    lattices = [*universe5, *all_presets, boolean_lattice(4), chain_lattice(8)]
+    assert _profile_digest(lattices) == PROFILE_DIGESTS["universe5+presets"]
+
+
+def test_size7_profiles_frozen(universe7, all_presets):
+    assert len(universe7) == 888
+    shapes = [boolean_lattice(4), boolean_lattice(5), chain_lattice(8)]
+    lattices = [*universe7, *all_presets, *shapes]
+    assert _profile_digest(lattices) == PROFILE_DIGESTS["universe7+presets"]
 
 
 def test_default_labels_continue_past_z():

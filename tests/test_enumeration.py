@@ -298,8 +298,20 @@ def test_universe_is_deterministic_and_cached(universe5):
     ]
 
 
-def test_workers_do_not_change_results(universe5):
+def test_workers_do_not_change_results(monkeypatch, universe5):
+    # with the cache emptied, one real pool of two processes maps the 10
+    # orders of sizes 1-5
+    pools = []
+
+    class CountedPool(enumeration.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(enumeration, "_UNIVERSE_CACHE", {})
     par = enumerated_universe(5, workers=2)
+    assert pools == [2]
     assert [canonical_form(L) for L in par] == [
         canonical_form(L) for L in universe5
     ]
