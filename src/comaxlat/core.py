@@ -190,7 +190,8 @@ class _Order(NamedTuple):
     ``join`` and ``meet`` are ``None`` when some pair lacks a bound, and
     ``missing`` is then the first such pair ``(i, j)``, ``i <= j``, in
     row-major index order.  ``covers[x]`` lists the lower covers of ``x``
-    in index order.  ``descending`` is a reverse linear extension: every
+    in index order; ``jirr`` masks the join-irreducibles, the elements
+    with exactly one.  ``descending`` is a reverse linear extension: every
     element comes before all elements strictly below it.
     """
 
@@ -199,6 +200,7 @@ class _Order(NamedTuple):
     missing: Optional[tuple[int, int]]
     down: tuple[int, ...]
     covers: tuple[tuple[int, ...], ...]
+    jirr: int
     descending: tuple[int, ...]
 
 
@@ -217,6 +219,7 @@ def _order_facts(up: tuple[int, ...]) -> _Order:
         tuple(i for i in _members(below) if up[i] & below & ~(1 << i) == 0)
         for below in (down[x] & ~(1 << x) for x in range(n))
     )
+    jirr = _mask(x for x in range(n) if len(covers[x]) == 1)
     descending = tuple(sorted(range(n), key=lambda i: bin(up[i]).count("1")))
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
@@ -225,11 +228,11 @@ def _order_facts(up: tuple[int, ...]) -> _Order:
             lu = _extremum(up[i] & up[j], up)
             gl = _extremum(down[i] & down[j], down)
             if lu is None or gl is None:
-                return _Order(None, None, (i, j), down, covers, descending)
+                return _Order(None, None, (i, j), down, covers, jirr, descending)
             join[i][j] = join[j][i] = lu
             meet[i][j] = meet[j][i] = gl
     join_t, meet_t = tuple(map(tuple, join)), tuple(map(tuple, meet))
-    return _Order(join_t, meet_t, None, down, covers, descending)
+    return _Order(join_t, meet_t, None, down, covers, jirr, descending)
 
 
 def _first_nonassociative(
@@ -313,7 +316,8 @@ class FiniteMultLattice:
     Elements are the indices ``0 .. n-1`` into ``labels``; all derived
     data (join/meet/product/quotient tables, the spectrum, radicals,
     power chains, element predicates) is precomputed at construction,
-    except principality, which is scanned when asked.
+    except principality, which is scanned when asked; the lattice profile
+    scans the join-irreducibles for it, up to the first not principal.
     Set-valued results are returned as tuples sorted by element index.
 
     Construct through :meth:`from_tables`, which checks every axiom
@@ -487,10 +491,7 @@ class FiniteMultLattice:
                 for p, q in itertools.combinations(self._primes, 2)
                 if not self.leq(p, q) and not self.leq(q, p)
             ),
-            # every generating set holds the join-irreducibles, which generate
-            generated_by_principal=self.generates(
-                self._principal(self.join_irreducibles())
-            ),
+            generated_by_principal=all(map(self._principal, self.join_irreducibles())),
         )
 
     # -- predicate scans ----------------------------------------------
@@ -520,12 +521,10 @@ class FiniteMultLattice:
                     return False
         return True
 
-    def _principal(self, xs: Iterable[Elt]) -> tuple[Elt, ...]:
-        """The members of ``xs`` that are meet- and join-principal."""
+    def _principal(self, x: Elt) -> bool:
+        """Whether ``x`` is meet- and join-principal."""
         every = range(self.n)
-        return tuple(
-            x for x in xs if self._jp_scan(x, every) and self._mp_scan(x, every)
-        )
+        return self._jp_scan(x, every) and self._mp_scan(x, every)
 
     # -- basic order and monoid operations -----------------------------
 
@@ -625,26 +624,22 @@ class FiniteMultLattice:
         return self._prime_power[x]
 
     def principal_elements(self) -> tuple[Elt, ...]:
-        return self._principal(range(self.n))
+        return tuple(filter(self._principal, range(self.n)))
 
     def join_principal_elements(self) -> tuple[Elt, ...]:
         every = range(self.n)
         return tuple(j for j in every if self._jp_scan(j, every))
 
     def join_irreducibles(self) -> tuple[Elt, ...]:
-        """Elements with exactly one lower cover.
-
-        Every element is the join of the join-irreducibles below it,
-        and every generating set contains all of them, so they form the
-        smallest generating set of the lattice.
-        """
-        covers = self._order.covers
-        return tuple(x for x in range(self.n) if len(covers[x]) == 1)
+        """Elements with exactly one lower cover."""
+        return _members(self._order.jirr)
 
     def generates(self, gens: Iterable[Elt]) -> bool:
-        """Whether every element is the join of the members of ``gens`` below it."""
-        g = _mask(gens)
-        return all(self.join(_members(g & self._down[x])) == x for x in range(self.n))
+        """Whether every element is the join of the members of ``gens`` below it.
+
+        Every generating set holds the join-irreducibles, and they generate.
+        """
+        return not self._order.jirr & ~_mask(gens)
 
     def lower_covers(self, x: Elt) -> tuple[Elt, ...]:
         return self._order.covers[x]

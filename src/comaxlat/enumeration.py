@@ -56,6 +56,7 @@ from .core import (
     Elt,
     FiniteMultLattice,
     LatticeError,
+    _members,
     _order_facts,
     multiplication_violations,  # unused here; perfbench/tracing.py wraps it by name
 )
@@ -148,7 +149,7 @@ def _permute_up(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _relabelings(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Each relabeling fixing 0 and n-1, with the weights that encode an order.
 
@@ -307,8 +308,7 @@ def _mult_tables(order: OrderTable) -> list[Table]:
     facts = _order_facts(up)
     down = facts.down
     mids = [i for i in range(n) if i not in (B, T)]
-    # one lower cover, as in FiniteMultLattice.join_irreducibles
-    jirr = [x for x in mids if len(facts.covers[x]) == 1]
+    jirr = _members(facts.jirr & ~(1 << T))
 
     # every incomparable pair of proper elements, with its join
     joins = [

@@ -125,10 +125,6 @@ class _Ctx:
                     products |= 1 << L.mul2(g, h)
         return frozenset(k for k, mask in self.kinds.items() if not products & ~mask)
 
-    @cached_property
-    def gens_generate(self) -> bool:
-        return self.L.generates(self.gens)
-
 
 def _resolve_generators(L: FiniteMultLattice, G: Generators) -> tuple[Elt, ...]:
     if isinstance(G, str):
@@ -379,7 +375,7 @@ def _cor_closure(ctx: _Ctx) -> _Result:
 def _thm_treed_from_generators(ctx: _Ctx) -> _Result:
     """If all pairwise products of generators factor with prime radicals,
     the lattice is treed."""
-    if not (ctx.gens_generate and FactorKind.CPR in ctx.gen_products_admit):
+    if not (ctx.L.generates(ctx.gens) and FactorKind.CPR in ctx.gen_products_admit):
         return False, None, None
     return True, ctx.profile.is_treed, None
 
@@ -392,7 +388,7 @@ def _cor_compact_equivalences(ctx: _Ctx) -> _Result:
     compared pairwise.
     """
     L = ctx.L
-    if not ctx.gens_generate:
+    if not L.generates(ctx.gens):
         return False, None, None
     c1 = ctx.classification.is_cpr_lattice
     c2 = FactorKind.CPR in ctx.gen_products_admit
@@ -417,7 +413,7 @@ def _thm_cpr_sufficiency(ctx: _Ctx) -> _Result:
     decided on the primes not above a, as a generator outside all of
     them is outside every subset of them."""
     L = ctx.L
-    if not ctx.gens_generate:
+    if not L.generates(ctx.gens):
         return False, None, None
     minimal = set(L.min_primes(L.bottom))
     hyp1 = all(
@@ -455,6 +451,7 @@ def _thm_cq_characterization(ctx: _Ctx) -> _Result:
 def _cor_cq_dimension(ctx: _Ctx) -> _Result:
     """For a nondegenerate domain generated by join-principal elements,
     primary factorizations exist for everything iff the dimension is one.
+    The hypothesis is decided on the join-irreducibles alone.
     Never applicable when finite: in a domain a nonzero join-principal j
     has (a*j : j) = a for all a, so a = j^(m-1) with m least such that
     j^m = j^(m+1) gives j = 1, and the bounds generate only the 2-chain."""
@@ -462,7 +459,7 @@ def _cor_cq_dimension(ctx: _Ctx) -> _Result:
     hyp = (
         ctx.profile.is_domain
         and L.n > 2
-        and L.generates(L.join_principal_elements())
+        and all(L._jp_scan(j, L.elements()) for j in L.join_irreducibles())
     )
     if not hyp:
         return False, None, None
@@ -497,7 +494,7 @@ def _thm_cq_generators(ctx: _Ctx) -> _Result:
     hyp = (
         ctx.profile.is_domain
         and L.n > 2
-        and ctx.gens_generate
+        and L.generates(ctx.gens)
         and _quotient_hypothesis_holds(L, ctx.gens)
     )
     if not hyp:
@@ -517,7 +514,7 @@ def _lemma_prime_principal(ctx: _Ctx) -> _Result:
     hyp = (
         ctx.profile.is_domain
         and ctx.profile.generated_by_principal
-        and set(L.spectrum()) <= set(L.principal_elements())
+        and all(map(L._principal, L.spectrum()))
     )
     if not hyp:
         return False, None, None

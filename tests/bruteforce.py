@@ -126,6 +126,11 @@ def weak_join_principal_naive(L: FiniteMultLattice, j: int) -> bool:
     return all(quot[mul[a][j]][j] == join[a][zero] for a in range(L.n))
 
 
+def generates_naive(L: FiniteMultLattice, gens) -> bool:
+    """Every element is the join of the members of ``gens`` below it."""
+    return all(L.join(g for g in gens if L.leq(g, x)) == x for x in L.elements())
+
+
 def count_bounded_lattices(n: int) -> int:
     """Poset-filter oracle: count bounded lattice orders up to isomorphism.
 
@@ -389,9 +394,7 @@ def thm_cpr_sufficiency_naive(L: FiniteMultLattice, gens: tuple[int, ...]):
     conclusion go through the public :func:`factor` and
     :func:`classify_lattice`.
     """
-    if not all(
-        L.join(g for g in gens if L.leq(g, x)) == x for x in L.elements()
-    ):
+    if not generates_naive(L, gens):
         return False, None, None
     minimal = set(L.min_primes(L.bottom))
     hyp1 = all(

@@ -12,6 +12,8 @@ from bruteforce import (
     boolean_lattice,
     chain_lattice,
     first_axiom_failures_naive,
+    generates_naive,
+    is_prime_naive,
     join_principal_naive,
     meet_principal_naive,
     product_lattice,
@@ -31,6 +33,7 @@ from comaxlat.core import (
     validate_lattice,
 )
 from comaxlat.presets import preset, preset_spec
+from comaxlat.theorems import check_entry
 
 
 def _labels(L, xs):
@@ -396,13 +399,15 @@ def test_lattice_keeps_fewer_than_30_attributes():
 
 def test_lattice_reads_its_own_order_record():
     # A lattice keeps its order record, so an order that has left the memo
-    # is not derived again by the methods that read its covers.
+    # is not derived again by the methods that read its covers or its
+    # join-irreducibles.
     lattices = [boolean_lattice(3), chain_lattice(6)]
     _order_facts.cache_clear()
     for L in lattices:
         before = _order_facts.cache_info().misses
         L.lower_covers(L.top)
         L.join_irreducibles()
+        L.generates(L.elements())
         L.to_spec()
         assert _order_facts.cache_info().misses == before, L.name
 
@@ -428,18 +433,26 @@ def test_from_tables_rejects_product_above_meet_and_non_monotone():
         assert [str(v) for v in exc.value.violations] == expect
 
 
-@pytest.mark.parametrize("universe", ["universe_deep", "universe7"])
-def test_residual_and_principality_tables_match_naive_twins(
-    request, universe, all_presets
-):
-    lattices = list(request.getfixturevalue(universe)) + list(all_presets)
-    lattices += [boolean_lattice(4), chain_lattice(8)]
+def _with_larger_lattices(lattices, presets):
+    """``lattices`` and the presets, plus shapes and products larger than
+    anything the tier-1 universe holds."""
     L1, L3, E16 = preset("L1"), preset("L3"), preset("E16")
-    lattices += [
+    return [
+        *lattices,
+        *presets,
+        boolean_lattice(4),
+        chain_lattice(8),
         product_lattice(L1, L3),
         product_lattice(E16, chain_lattice(3)),
         product_lattice(boolean_lattice(2), L3),
     ]
+
+
+@pytest.mark.parametrize("universe", ["universe_deep", "universe7"])
+def test_residual_and_principality_tables_match_naive_twins(
+    request, universe, all_presets
+):
+    lattices = _with_larger_lattices(request.getfixturevalue(universe), all_presets)
     for L in lattices:
         assert L._quot == quotient_table_naive(L), L.name
         naive = [
@@ -461,8 +474,40 @@ def test_residual_and_principality_tables_match_naive_twins(
         jp = tuple(x for x, flags in enumerate(naive) if flags[2])
         assert L.principal_elements() == tuple(x for x in mp if x in jp), L.name
         assert L.join_principal_elements() == jp, L.name
-        assert L.lattice_profile().generated_by_principal == L.generates(
-            L.principal_elements()
+        assert L.lattice_profile().generated_by_principal == generates_naive(
+            L, [x for x in mp if x in jp]
+        ), L.name
+
+
+def test_generation_matches_naive_twin(universe_deep, all_presets):
+    # A set generates exactly when it holds every join-irreducible; the
+    # twin joins the generators below each element instead.
+    rng = random.Random(18)
+    for L in _with_larger_lattices(universe_deep, all_presets):
+        jp = [x for x in L.elements() if join_principal_naive(L, x)]
+        principal = [x for x in jp if meet_principal_naive(L, x)]
+        subsets = [
+            (),
+            L.elements(),
+            L.join_irreducibles(),
+            L.principal_elements(),
+            L.join_principal_elements(),
+        ]
+        for _ in range(20):
+            density = rng.random()
+            subsets.append([x for x in L.elements() if rng.random() < density])
+        for S in subsets:
+            assert L.generates(S) == generates_naive(L, S), (L.name, S)
+        # the generator hypotheses of two checkers, read literally
+        domain = is_prime_naive(L, L.bottom)
+        primes = [p for p in L.elements() if is_prime_naive(L, p)]
+        assert check_entry(L, "cor_cq_dimension").hypotheses_hold == (
+            domain and L.n > 2 and generates_naive(L, jp)
+        ), L.name
+        assert check_entry(L, "lemma_prime_principal").hypotheses_hold == (
+            domain
+            and generates_naive(L, principal)
+            and all(p in principal for p in primes)
         ), L.name
 
 

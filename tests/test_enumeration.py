@@ -228,6 +228,19 @@ def test_canonical_form_refuses_more_than_10_elements():
     assert enumeration._relabelings.cache_info().currsize == before
 
 
+def test_relabeling_tables_are_kept_for_one_size():
+    # A 10-element canonical form builds 8! relabelings, about 22 MB; a
+    # smaller size asked for next releases them.
+    canonical_form(chain_lattice(10))
+    canonical_form(chain_lattice(3))
+    assert enumeration._relabelings.cache_info().currsize == 1
+    # with one slot, a refused size must still not be built
+    misses = enumeration._relabelings.cache_info().misses
+    with pytest.raises(SizeCapExceeded):
+        canonical_form(chain_lattice(11))
+    assert enumeration._relabelings.cache_info().misses == misses
+
+
 def test_size7_orders_behind_flag(deep_size):
     if deep_size < 6:
         pytest.skip("needs --size6")
