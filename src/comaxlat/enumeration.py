@@ -10,8 +10,10 @@ always maps bounds to bounds, so nothing is lost).  The order bytes
 come first in that form, so only the relabelings that carry the order
 to its canonical up-masks can reach the minimum.  One helper,
 ``_canonical_order``, computes those up-masks together with the
-relabelings that reach them, once per labeled order; the order stage,
-the automorphism dedup and :func:`canonical_form` all use it.
+relabelings that reach them; the order stage, the automorphism dedup
+and :func:`canonical_form` all use it.  The order stage runs it once per
+placed labeling, and places only labelings whose down-set sizes never
+decrease.
 
 The multiplication search only branches on products of proper
 join-irreducible elements: the remaining entries are forced by join
@@ -173,7 +175,8 @@ def _canonical_order(
 
     Returns the relabeled up-masks whose ``_encode_leq`` is least, and
     every relabeling fixing 0 and n-1 that produces them, in
-    ``_middle_perms`` order.
+    ``_middle_perms`` order.  The order stage calls it once per placed
+    labeling, and places only the labelings sorted by down-set size.
     """
     n = len(up)
     rows = [[j for j in range(n) if up[i] >> j & 1] for i in range(n)]
@@ -243,27 +246,20 @@ def enumerate_bounded_lattices(
             canon, _ = _canonical_order(up)
             found.setdefault(_encode_leq(canon, n), canon)
             return
-        if k == n - 1:
-            choices = [(1 << k) - 1]  # top lies above everything
-        else:
-            # The placed elements form a down-set of the final lattice, so
-            # they are closed under meets: down(k) & down(i) is a placed
-            # down(j).  For i in d this says that d is down-closed.
-            base = (1 << k) - 2  # bits 1..k-1 are optional, bit 0 mandatory
-            placed = set(dmask)
-            choices = []
-            sub = base
-            while True:
-                d = sub | 1
-                if all(d & m in placed for m in dmask):
-                    choices.append(d)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & base
-        for d in choices:
-            dmask.append(d | 1 << k)
-            place(k + 1)
-            dmask.pop()
+        # Listing the elements by down-set size, ties in any order, gives a
+        # linear extension, so every class has a labeling whose down-set
+        # sizes never decrease, and only those are placed.  The placed
+        # elements form a down-set of the final lattice, so they are closed
+        # under meets: down(k) & down(i) is a placed down(j).  For i in d
+        # this says that d, an odd mask (it holds the bottom), is
+        # down-closed; the top lies above everything.
+        least = dmask[-1].bit_count() - 1
+        placed = set(dmask)
+        for d in range((1 << k) - 1 if k == n - 1 else 1, 1 << k, 2):
+            if d.bit_count() >= least and all(d & m in placed for m in dmask):
+                dmask.append(d | 1 << k)
+                place(k + 1)
+                dmask.pop()
 
     place(1)
     orders = []
@@ -277,12 +273,12 @@ def enumerate_bounded_lattices(
 
 
 def order_automorphisms(order: OrderTable) -> list[tuple[int, ...]]:
-    """All relabelings of the order onto itself (they fix bottom and top)."""
-    _, reach = _canonical_order(order.up)
-    # p and reach[0] carry the order to the same up-masks, so reach[0]^-1 . p
-    # fixes it; for a canonical order reach[0] is the identity.
-    back = sorted(range(order.n), key=reach[0].__getitem__)
-    return [tuple(back[k] for k in perm) for perm in reach]
+    """All relabelings of the order onto itself (they fix bottom and top).
+
+    The order is canonical, so the relabelings that carry it to its
+    canonical up-masks are exactly its automorphisms, the identity first.
+    """
+    return list(_canonical_order(order.up)[1])
 
 
 # -- stage two: multiplication tables ---------------------------------------

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch against the plain
 definitions (no reuse of the engine's search, propagation or
 canonicalization), so that agreement between an engine result and its
-twin is meaningful evidence.
+twin is meaningful evidence.  The one exception is
+``bounded_lattice_orders_naive``: it reuses the order canonicalization
+kernel and twins only the choice of labelings the order stage places.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from comaxlat import enumeration
 from comaxlat.core import FiniteMultLattice
 from comaxlat.enumeration import OrderTable
 from comaxlat.factorize import (
@@ -179,6 +182,51 @@ def count_bounded_lattices(n: int) -> int:
     return len(seen)
 
 
+def bounded_lattice_orders_naive(n: int) -> list[tuple[int, ...]]:
+    """Canonical up-masks of every bounded lattice order on ``n`` elements.
+
+    Places every linear-extension labeling: element ``k`` goes above a
+    down-closed set of the elements before it, closed under meets with
+    them, and the top above all of them.  Each leaf is canonicalized
+    with ``enumeration._canonical_order``, because the order stage this
+    checks changes which labelings it places, not that kernel, and a
+    literal minimum over n! relabelings would take minutes at size 8.
+    Sorted by ``_encode_leq``.
+    """
+    found: dict[bytes, tuple[int, ...]] = {}
+    dmask = [1]  # dmask[i]: elements <= i, including i
+
+    def place(k: int) -> None:
+        if k == n:
+            up = tuple(
+                sum(1 << j for j in range(n) if dmask[j] >> i & 1) for i in range(n)
+            )
+            canon, _ = enumeration._canonical_order(up)
+            found.setdefault(enumeration._encode_leq(canon, n), canon)
+            return
+        if k == n - 1:
+            choices = [(1 << k) - 1]
+        else:
+            base = (1 << k) - 2  # bits 1..k-1 are optional, bit 0 mandatory
+            placed = set(dmask)
+            choices = []
+            sub = base
+            while True:
+                d = sub | 1
+                if all(d & m in placed for m in dmask):
+                    choices.append(d)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & base
+        for d in choices:
+            dmask.append(d | 1 << k)
+            place(k + 1)
+            dmask.pop()
+
+    place(1)
+    return [found[key] for key in sorted(found)]
+
+
 def _inv(perm, i):
     return perm.index(i)
 
@@ -268,10 +316,10 @@ def first_axiom_failures_naive(mul, join, n: int):
     return assoc, dist
 
 
-def count_iso_classes(order: OrderTable, tables) -> int:
-    """Dedup tables under order automorphisms found by direct search."""
+def order_automorphisms_naive(order: OrderTable) -> list[tuple[int, ...]]:
+    """Every permutation preserving the order, in lexicographic order."""
     n = order.n
-    autos = [
+    return [
         p
         for p in itertools.permutations(range(n))
         if all(
@@ -280,6 +328,12 @@ def count_iso_classes(order: OrderTable, tables) -> int:
             for j in range(n)
         )
     ]
+
+
+def count_iso_classes(order: OrderTable, tables) -> int:
+    """Dedup tables under order automorphisms found by direct search."""
+    n = order.n
+    autos = order_automorphisms_naive(order)
     classes = set()
     for t in tables:
         best = None

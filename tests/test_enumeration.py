@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from bruteforce import (
     axioms_hold,
+    bounded_lattice_orders_naive,
     canonical_form_by_all_relabelings,
     chain_lattice,
     count_bounded_lattices,
     count_iso_classes,
     naive_multiplications,
     naive_space,
+    order_automorphisms_naive,
 )
 from comaxlat import enumeration
 from comaxlat.cli import main
@@ -86,6 +88,11 @@ RAW_SEARCH_DIGESTS = {
     8: "5fe4c2e16fafa2260fac0c6adade460b9662e9ac3bfbf9e68c1b93c3bebbc0d3",
 }
 
+# Labelings the order stage places, one _canonical_order call each: only
+# those whose down-set sizes never decrease.  Size 8 is checked under --size8.
+PLACED_LABELINGS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 25, 7: 141}
+SIZE8_PLACED_LABELINGS = 1007
+
 # The largest naive space (see bruteforce.naive_space) filled at size 7.
 NAIVE_SPACE_MAX = 200_000
 
@@ -98,6 +105,52 @@ def test_bounded_lattice_counts_frozen():
 def test_bounded_lattice_counts_match_poset_filter_oracle():
     for n in range(1, 7):
         assert count_bounded_lattices(n) == BOUNDED_LATTICE_COUNTS[n]
+
+
+def _placed_labelings(monkeypatch, n: int) -> int:
+    calls = []
+    original = enumeration._canonical_order
+
+    def counted(up):
+        calls.append(up)
+        return original(up)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_canonical_order", counted)
+        enumerate_bounded_lattices(n, size_cap=max(n, 7))
+    return len(calls)
+
+
+def test_order_stage_places_only_size_sorted_labelings(monkeypatch):
+    got = {n: _placed_labelings(monkeypatch, n) for n in PLACED_LABELINGS}
+    assert got == PLACED_LABELINGS
+
+
+def test_order_stage_agrees_with_every_linear_extension():
+    for n in range(1, 8):
+        got = [o.up for o in enumerate_bounded_lattices(n, size_cap=7)]
+        assert got == bounded_lattice_orders_naive(n), f"size {n}"
+
+
+def _check_order_automorphisms(orders) -> None:
+    for order in orders:
+        autos = enumeration.order_automorphisms(order)
+        assert autos[0] == tuple(range(order.n)), order.name
+        for p in autos:
+            assert enumeration._permute_up(order.up, p, order.n) == order.up
+        assert sorted(autos) == order_automorphisms_naive(order), order.name
+
+
+def test_order_automorphisms_match_direct_search():
+    _check_order_automorphisms(
+        o for n in range(1, 7) for o in enumerate_bounded_lattices(n)
+    )
+
+
+def test_size7_order_automorphisms_match_direct_search(request):
+    if not request.config.getoption("--size7"):
+        pytest.skip("needs --size7")
+    _check_order_automorphisms(enumerate_bounded_lattices(7, size_cap=7))
 
 
 def test_multiplication_counts_frozen():
@@ -269,6 +322,15 @@ def test_size8_counts_frozen(request, monkeypatch):
     assert _raw_search_digest(orders) == RAW_SEARCH_DIGESTS[8]
     assert [len(enumeration._mult_reps(o)) for o in orders] == SIZE8_MULT_COUNTS
     assert sum(SIZE8_MULT_COUNTS) == 4712
+
+
+def test_size8_order_stage_agrees_with_every_linear_extension(request, monkeypatch):
+    if not request.config.getoption("--size8"):
+        pytest.skip("needs --size8")
+    monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
+    assert _placed_labelings(monkeypatch, 8) == SIZE8_PLACED_LABELINGS
+    got = [o.up for o in enumerate_bounded_lattices(8, size_cap=8)]
+    assert got == bounded_lattice_orders_naive(8)
 
 
 def _catalog_matches_fresh_canonical_forms(universe, size, tmp_path):
