@@ -11,7 +11,9 @@ come first in that form, so only the relabelings that carry the order
 to its canonical up-masks can reach the minimum.  One helper,
 ``_canonical_order``, computes those up-masks together with the
 relabelings that reach them; the order stage, the automorphism dedup
-and :func:`canonical_form` all use it.  The order stage runs it once per
+and :func:`canonical_form` all use it.  It keeps nothing between calls
+and fixes the rows one position at a time, so its cost follows the tied
+prefixes, with (n-2)! as the bound.  The order stage runs it once per
 placed labeling, and places only labelings whose down-set sizes never
 decrease.
 
@@ -48,7 +50,6 @@ are byte-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -81,7 +82,7 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 6
 HARD_SIZE_CAP = 7
-# canonical_form tries all (n-2)! relabelings: 40,320 at 10 elements
+# canonical_form branches on tied rows, at most (n-2)! = 40,320 at 10 elements
 _CANONICAL_FORM_MAX = 10
 
 Table = tuple[tuple[int, ...], ...]
@@ -130,15 +131,6 @@ def _encode_relabeled_mul(mul: Table, perm: tuple[int, ...]) -> bytes:
     return bytes(perm[mul[a][b]] for a in src for b in src)
 
 
-def _middle_perms(n: int) -> list[tuple[int, ...]]:
-    """All relabelings of 1..n-2 (as full permutations fixing 0 and n-1)."""
-    if n <= 2:
-        return [tuple(range(n))]
-    return [
-        (0,) + mid + (n - 1,) for mid in itertools.permutations(range(1, n - 1))
-    ]
-
-
 def _permute_up(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int, ...]:
     out = [0] * n
     for i in range(n):
@@ -151,47 +143,50 @@ def _permute_up(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1)
-def _relabelings(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Each relabeling fixing 0 and n-1, with the weights that encode an order.
-
-    Under ``perm`` element ``j`` moves to row and column ``perm[j]``.
-    ``bits[j]`` and ``shifts[j]`` place that column and that row in one
-    integer ordered like ``_encode_leq`` (row 0, column 0 most
-    significant).
-    """
-    out = []
-    for perm in _middle_perms(n):
-        rev = [n - 1 - k for k in perm]
-        out.append((perm, tuple(1 << r for r in rev), tuple(n * r for r in rev)))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=4096)
 def _canonical_order(
     up: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Canonical up-masks of an order with bottom 0 and top n-1.
 
     Returns the relabeled up-masks whose ``_encode_leq`` is least, and
-    every relabeling fixing 0 and n-1 that produces them, in
-    ``_middle_perms`` order.  The order stage calls it once per placed
-    labeling, and places only the labelings sorted by down-set size.
+    every relabeling fixing 0 and n-1 that produces them, sorted.  Rows
+    are fixed one position at a time.  Row i of ``x`` reads its bits on
+    the elements placed at 1..i-1, its own 1, then its bits on those
+    left.  An element left above ``x`` has the smaller row (its placed
+    upper bounds are among those of ``x``, and fewer left lie above it),
+    so only maximal elements left compete, their rows end in zeros, and
+    the least row is the least pattern of placed upper bounds.  Every
+    prefix with the least row survives, ties included: at most
+    (n-2)!/(n-2-i)! of them at row i.
     """
     n = len(up)
-    rows = [[j for j in range(n) if up[i] >> j & 1] for i in range(n)]
-    keys = {}
-    for perm, bits, shifts in _relabelings(n):
-        key = 0
-        for i, row in enumerate(rows):
-            img = 0
-            for j in row:
-                img |= bits[j]
-            key |= img << shifts[i]
-        keys[perm] = key
-    best = min(keys.values())
-    reach = tuple(perm for perm, key in keys.items() if key == best)
-    return _permute_up(up, reach[0], n), reach
+    top = 1 << n - 1
+    states = [((), top - 2)]  # elements placed at 1..i-1, mask of those left
+    for _ in range(n - 2):
+        best, survivors = None, []
+        for placed, left in states:
+            rest = left
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                x = bit.bit_length() - 1
+                ux = up[x]
+                if ux & left != bit:
+                    continue  # an element left above x has a smaller row
+                row = 0  # the placed upper bounds; rows share one width
+                if ux & ~left != top:
+                    for e in placed:
+                        row = row << 1 | ux >> e & 1
+                if best is None or row < best:
+                    best, survivors = row, []
+                if row == best:
+                    survivors.append((placed + (x,), left ^ bit))
+        states = survivors
+    # perm[x] is the position of x
+    reach = sorted(
+        tuple(map((0, *placed, n - 1).index, range(n))) for placed, _ in states
+    )
+    return _permute_up(up, reach[0], n), tuple(reach)
 
 
 def canonical_form(L: FiniteMultLattice) -> bytes:

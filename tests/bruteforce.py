@@ -3,17 +3,15 @@
 Everything here is deliberately written from scratch against the plain
 definitions (no reuse of the engine's search, propagation or
 canonicalization), so that agreement between an engine result and its
-twin is meaningful evidence.  The one exception is
-``bounded_lattice_orders_naive``: it reuses the order canonicalization
-kernel and twins only the choice of labelings the order stage places.
+twin is meaningful evidence.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
-from comaxlat import enumeration
 from comaxlat.core import FiniteMultLattice
 from comaxlat.enumeration import OrderTable
 from comaxlat.factorize import (
@@ -182,16 +180,72 @@ def count_bounded_lattices(n: int) -> int:
     return len(seen)
 
 
+def _middle_perms(n: int) -> list[tuple[int, ...]]:
+    """All relabelings of 1..n-2 (as full permutations fixing 0 and n-1)."""
+    if n <= 2:
+        return [tuple(range(n))]
+    return [
+        (0,) + mid + (n - 1,) for mid in itertools.permutations(range(1, n - 1))
+    ]
+
+
+@functools.lru_cache(maxsize=1)
+def _relabelings(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each relabeling fixing 0 and n-1, with the weights that encode an order.
+
+    Under ``perm`` element ``j`` moves to row and column ``perm[j]``.
+    ``bits[j]`` and ``shifts[j]`` place that column and that row in one
+    integer ordered like ``_leq_bytes`` (row 0, column 0 most
+    significant).
+    """
+    out = []
+    for perm in _middle_perms(n):
+        rev = [n - 1 - k for k in perm]
+        out.append((perm, tuple(1 << r for r in rev), tuple(n * r for r in rev)))
+    return tuple(out)
+
+
+def _leq_bytes(up: tuple[int, ...]) -> bytes:
+    """The order matrix row by row, ``1`` where row ``i`` lies below column ``j``."""
+    n = len(up)
+    return bytes(up[i] >> j & 1 for i in range(n) for j in range(n))
+
+
+def canonical_order_naive(
+    up: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Twin of ``enumeration._canonical_order``: score all (n-2)! relabelings.
+
+    Returns the relabeled up-masks whose ``_leq_bytes`` is least, and
+    every relabeling fixing 0 and n-1 that produces them, in
+    ``_middle_perms`` order.
+    """
+    n = len(up)
+    rows = [[j for j in range(n) if up[i] >> j & 1] for i in range(n)]
+    keys = {}
+    for perm, bits, shifts in _relabelings(n):
+        key = 0
+        for i, row in enumerate(rows):
+            img = 0
+            for j in row:
+                img |= bits[j]
+            key |= img << shifts[i]
+        keys[perm] = key
+    best = min(keys.values())
+    reach = tuple(perm for perm, key in keys.items() if key == best)
+    canon = [0] * n
+    for i, row in enumerate(rows):
+        canon[reach[0][i]] = sum(1 << reach[0][j] for j in row)
+    return tuple(canon), reach
+
+
 def bounded_lattice_orders_naive(n: int) -> list[tuple[int, ...]]:
     """Canonical up-masks of every bounded lattice order on ``n`` elements.
 
     Places every linear-extension labeling: element ``k`` goes above a
     down-closed set of the elements before it, closed under meets with
     them, and the top above all of them.  Each leaf is canonicalized
-    with ``enumeration._canonical_order``, because the order stage this
-    checks changes which labelings it places, not that kernel, and a
-    literal minimum over n! relabelings would take minutes at size 8.
-    Sorted by ``_encode_leq``.
+    with ``canonical_order_naive``.  Sorted by ``_leq_bytes``.
     """
     found: dict[bytes, tuple[int, ...]] = {}
     dmask = [1]  # dmask[i]: elements <= i, including i
@@ -201,8 +255,8 @@ def bounded_lattice_orders_naive(n: int) -> list[tuple[int, ...]]:
             up = tuple(
                 sum(1 << j for j in range(n) if dmask[j] >> i & 1) for i in range(n)
             )
-            canon, _ = enumeration._canonical_order(up)
-            found.setdefault(enumeration._encode_leq(canon, n), canon)
+            canon, _ = canonical_order_naive(up)
+            found.setdefault(_leq_bytes(canon), canon)
             return
         if k == n - 1:
             choices = [(1 << k) - 1]
@@ -524,6 +578,24 @@ def boolean_lattice(k: int) -> FiniteMultLattice:
     up = tuple(sum(1 << j for j in range(n) if i & j == i) for i in range(n))
     mul = [[i & j for j in range(n)] for i in range(n)]
     return FiniteMultLattice.from_tables(up, mul, 0, n - 1, name=f"B{n}")
+
+
+def adjoin_bottom(L: FiniteMultLattice) -> FiniteMultLattice:
+    """L with a new absorbing bottom below it: index 0, old index i at i + 1.
+
+    Every product of old elements stays at or above L's bottom, so the
+    result is a domain.  Every domain is one of these: the product of its
+    nonzero elements is nonzero and lies below each of them, so they form
+    a lattice L with a bottom of its own.
+    """
+    n = L.n + 1
+    up = ((1 << n) - 1,) + tuple(
+        sum(1 << b + 1 for b in range(L.n) if L.leq(a, b)) for a in range(L.n)
+    )
+    mul = [[0] * n] + [
+        [0] + [L.mul2(a, b) + 1 for b in range(L.n)] for a in range(L.n)
+    ]
+    return FiniteMultLattice.from_tables(up, mul, 0, L.top + 1, name=f"0+{L.name}")
 
 
 def chain_lattice(n: int) -> FiniteMultLattice:

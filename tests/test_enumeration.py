@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import (
+    adjoin_bottom,
     axioms_hold,
+    boolean_lattice,
     bounded_lattice_orders_naive,
     canonical_form_by_all_relabelings,
+    canonical_order_naive,
     chain_lattice,
     count_bounded_lattices,
     count_iso_classes,
@@ -92,6 +95,9 @@ RAW_SEARCH_DIGESTS = {
 # those whose down-set sizes never decrease.  Size 8 is checked under --size8.
 PLACED_LABELINGS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 25, 7: 141}
 SIZE8_PLACED_LABELINGS = 1007
+# Size 9, checked under --size8: 1,078 orders (OEIS A006966).
+SIZE9_ORDER_COUNT = 1078
+SIZE9_PLACED_LABELINGS = 8892
 
 # The largest naive space (see bruteforce.naive_space) filled at size 7.
 NAIVE_SPACE_MAX = 200_000
@@ -130,6 +136,45 @@ def test_order_stage_agrees_with_every_linear_extension():
     for n in range(1, 8):
         got = [o.up for o in enumerate_bounded_lattices(n, size_cap=7)]
         assert got == bounded_lattice_orders_naive(n), f"size {n}"
+
+
+def _check_kernel_against_twin(orders) -> None:
+    # each order as given and under two seeded relabelings of its middle
+    rng = random.Random(len(orders))
+    for order in orders:
+        n = order.n
+        ups = [order.up]
+        for _ in range(2):
+            mid = list(range(1, n - 1))
+            rng.shuffle(mid)
+            perm = (0, *mid, n - 1) if n > 1 else (0,)
+            ups.append(enumeration._permute_up(order.up, perm, n))
+        for up in ups:
+            assert enumeration._canonical_order(up) == canonical_order_naive(up), (
+                order.name,
+                up,
+            )
+
+
+def test_canonical_order_matches_the_naive_twin():
+    _check_kernel_against_twin(
+        [o for n in range(1, 8) for o in enumerate_bounded_lattices(n, size_cap=7)]
+    )
+    # the 10-chain, M_6 (six atoms under one top) and the 8-element Boolean
+    # order: one, 720 and 6 relabelings reach the minimum
+    m6 = ((1 << 8) - 1, *(1 << i | 1 << 7 for i in range(1, 7)), 1 << 7)
+    shapes = {chain_lattice(10)._up: 1, m6: 720, boolean_lattice(3)._up: 6}
+    for up, reach in shapes.items():
+        got = enumeration._canonical_order(up)
+        assert got == canonical_order_naive(up)
+        assert len(got[1]) == reach
+
+
+def test_size8_canonical_order_matches_the_naive_twin(request, monkeypatch):
+    if not request.config.getoption("--size8"):
+        pytest.skip("needs --size8")
+    monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
+    _check_kernel_against_twin(enumerate_bounded_lattices(8, size_cap=8))
 
 
 def _check_order_automorphisms(orders) -> None:
@@ -272,26 +317,14 @@ def test_size_cap():
         search(SearchQuery(size_max=7, predicate="not_cpr"))
 
 
-def test_canonical_form_refuses_more_than_10_elements():
-    # 11 elements would mean 9! relabelings; none may be built or cached
-    L = chain_lattice(11)
-    before = enumeration._relabelings.cache_info().currsize
+def test_canonical_form_refuses_more_than_10_elements(monkeypatch):
+    # 11 elements would mean up to 9! relabelings; the kernel is never reached
+    def refuse(up):
+        raise AssertionError("the order kernel was called")
+
+    monkeypatch.setattr(enumeration, "_canonical_order", refuse)
     with pytest.raises(SizeCapExceeded, match="at most 10 elements, got 11"):
-        canonical_form(L)
-    assert enumeration._relabelings.cache_info().currsize == before
-
-
-def test_relabeling_tables_are_kept_for_one_size():
-    # A 10-element canonical form builds 8! relabelings, about 22 MB; a
-    # smaller size asked for next releases them.
-    canonical_form(chain_lattice(10))
-    canonical_form(chain_lattice(3))
-    assert enumeration._relabelings.cache_info().currsize == 1
-    # with one slot, a refused size must still not be built
-    misses = enumeration._relabelings.cache_info().misses
-    with pytest.raises(SizeCapExceeded):
         canonical_form(chain_lattice(11))
-    assert enumeration._relabelings.cache_info().misses == misses
 
 
 def test_size7_orders_behind_flag(deep_size):
@@ -331,6 +364,36 @@ def test_size8_order_stage_agrees_with_every_linear_extension(request, monkeypat
     assert _placed_labelings(monkeypatch, 8) == SIZE8_PLACED_LABELINGS
     got = [o.up for o in enumerate_bounded_lattices(8, size_cap=8)]
     assert got == bounded_lattice_orders_naive(8)
+
+
+def test_size9_order_stage_frozen(request, monkeypatch):
+    if not request.config.getoption("--size8"):
+        pytest.skip("needs --size8")
+    monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 9)
+    assert _placed_labelings(monkeypatch, 9) == SIZE9_PLACED_LABELINGS
+    assert len(enumerate_bounded_lattices(9, size_cap=9)) == SIZE9_ORDER_COUNT
+
+
+def _check_domains_adjoin_a_bottom(universe, sizes) -> None:
+    # a domain is a lattice with a new absorbing bottom below it, and
+    # canonical_form here meets lattices the order stage did not label
+    for n in sizes:
+        domains = {
+            canonical_form(D)
+            for D in universe
+            if D.n == n and D.lattice_profile().is_domain
+        }
+        adjoined = {canonical_form(adjoin_bottom(L)) for L in universe if L.n == n - 1}
+        assert domains == adjoined, f"size {n}"
+        assert len(adjoined) == TOTALS[n - 1]
+
+
+def test_domains_are_lattices_with_a_bottom_adjoined(universe6):
+    _check_domains_adjoin_a_bottom(universe6, range(3, 7))
+
+
+def test_size7_domains_are_lattices_with_a_bottom_adjoined(universe7):
+    _check_domains_adjoin_a_bottom(universe7, [7])
 
 
 def _catalog_matches_fresh_canonical_forms(universe, size, tmp_path):
