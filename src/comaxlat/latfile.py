@@ -11,12 +11,17 @@ be omitted.
 
 Serialization is canonical: fixed key order, covering pairs and product
 keys sorted by element index, two-space indentation, trailing newline —
-so parse/serialize round-trips are byte-identical.
+so parse/serialize round-trips are byte-identical.  The text is that of
+``json.dumps(doc, indent=2)`` plus a newline, written directly: one
+item per line, ``[]`` and ``{}`` for an empty array or object, and
+every string quoted by the escaper ``json.dumps`` uses (non-ASCII as
+``\\u`` escapes).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Union
 
@@ -125,22 +130,37 @@ def parse_lattice_file(text: str) -> LatticeSpec:
     )
 
 
+def _block(open_: str, close: str, items: list[str], indent: str) -> str:
+    """A JSON array or object at ``indent``, laid out as ``json.dumps(indent=2)``."""
+    if not items:
+        return open_ + close
+    sep = ",\n" + indent + "  "
+    return f"{open_}\n{indent}  {sep.join(items)}\n{indent}{close}"
+
+
 def serialize_spec(spec: LatticeSpec) -> str:
     """Canonical lattice-file text for a spec."""
     index = {lab: i for i, lab in enumerate(spec.elements)}
-    doc: dict = {"name": spec.name, "elements": list(spec.elements)}
-    if spec.bottom != "0":
-        doc["bottom"] = spec.bottom
-    if spec.top != "1":
-        doc["top"] = spec.top
-    doc["leq"] = [
-        list(p) for p in sorted(spec.order_pairs, key=lambda p: (index[p[0]], index[p[1]]))
+    fields = [
+        f'"name": {_quote(spec.name)}',
+        '"elements": ' + _block("[", "]", [_quote(e) for e in spec.elements], "  "),
     ]
-    doc["mul"] = {
+    if spec.bottom != "0":
+        fields.append(f'"bottom": {_quote(spec.bottom)}')
+    if spec.top != "1":
+        fields.append(f'"top": {_quote(spec.top)}')
+    leq = [
+        _block("[", "]", [_quote(x), _quote(y)], "    ")
+        for x, y in sorted(spec.order_pairs, key=lambda p: (index[p[0]], index[p[1]]))
+    ]
+    fields.append('"leq": ' + _block("[", "]", leq, "  "))
+    mul = {
         f"{x} {y}": spec.mul_entries[(x, y)]
         for x, y in sorted(spec.mul_entries, key=lambda k: (index[k[0]], index[k[1]]))
     }
-    return json.dumps(doc, indent=2) + "\n"
+    products = [f"{_quote(k)}: {_quote(v)}" for k, v in mul.items()]
+    fields.append('"mul": ' + _block("{", "}", products, "  "))
+    return _block("{", "}", fields, "") + "\n"
 
 
 def load_lattice(path: Union[str, Path]) -> FiniteMultLattice:

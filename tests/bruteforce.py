@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 
-from comaxlat.core import FiniteMultLattice
+from comaxlat.core import FiniteMultLattice, LatticeSpec
 from comaxlat.enumeration import OrderTable
 from comaxlat.factorize import (
     FactorKind,
@@ -22,6 +23,7 @@ from comaxlat.factorize import (
     classify_lattice,
     factor,
 )
+from comaxlat.presets import preset
 
 
 def radical_by_nilpotents(L: FiniteMultLattice, a: int) -> int:
@@ -628,3 +630,32 @@ def product_lattice(A: FiniteMultLattice, B: FiniteMultLattice) -> FiniteMultLat
         A.top * B.n + B.top,
         name=f"{A.name}x{B.name}",
     )
+
+
+def larger_lattices() -> list[FiniteMultLattice]:
+    """Shapes and products larger than anything the tier-1 universe holds."""
+    L1, L3, E16 = preset("L1"), preset("L3"), preset("E16")
+    return [
+        boolean_lattice(4),
+        chain_lattice(8),
+        product_lattice(L1, L3),
+        product_lattice(E16, chain_lattice(3)),
+        product_lattice(boolean_lattice(2), L3),
+    ]
+
+def serialize_spec_naive(spec: LatticeSpec) -> str:
+    """Lattice-file text through the JSON encoder, the layout the writer follows."""
+    index = {lab: i for i, lab in enumerate(spec.elements)}
+    doc: dict = {"name": spec.name, "elements": list(spec.elements)}
+    if spec.bottom != "0":
+        doc["bottom"] = spec.bottom
+    if spec.top != "1":
+        doc["top"] = spec.top
+    doc["leq"] = [
+        list(p) for p in sorted(spec.order_pairs, key=lambda p: (index[p[0]], index[p[1]]))
+    ]
+    doc["mul"] = {
+        f"{x} {y}": spec.mul_entries[(x, y)]
+        for x, y in sorted(spec.mul_entries, key=lambda k: (index[k[0]], index[k[1]]))
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,6 +1,8 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import argparse
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -8,10 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from bruteforce import boolean_lattice, chain_lattice
+from bruteforce import (
+    boolean_lattice,
+    chain_lattice,
+    larger_lattices,
+    serialize_spec_naive,
+)
+from comaxlat import cli
 from comaxlat.cli import main
+from comaxlat.core import LatticeSpec, mul_key
 from comaxlat.latfile import serialize_spec
-from comaxlat.presets import PRESET_NAMES
+from comaxlat.presets import PRESET_NAMES, preset
 
 
 @pytest.fixture()
@@ -52,6 +61,74 @@ def test_examples_to_stdout(capsys):
 def test_examples_unknown_name(capsys):
     assert main(["examples", "--name", "L9"]) == 2
     assert "unknown example" in capsys.readouterr().err
+
+
+# sha256 of `examples --name X` stdout, frozen from the json.dumps writer
+EXAMPLES_SHA256 = {
+    "L1": "697f1a0cf9d5e8906d579746a193f138bdcd6fe57cb50b8802e2faf9ac427e73",
+    "L2": "07ab5ad2d4f33fccb88e8f52a81c9e888bc6125be44f73de9f5de31d1bfd7273",
+    "L3": "e0284e66c4db9099a2232c639f3f67efb053881bcc7fb1590f99c9ba66a0b397",
+    "L4": "c301c75c07fe1be6f601af9130213f33bce4213938584bf311c2801025aa533e",
+    "E16": "3d4f61c3ac234c12a3186c8186edc95a1d1a77b61667ae896b7c14c89856f988",
+}
+
+
+def test_examples_stdout_frozen(capsys):
+    assert sorted(EXAMPLES_SHA256) == sorted(PRESET_NAMES)
+    for name in PRESET_NAMES:
+        assert main(["examples", "--name", name]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == EXAMPLES_SHA256[name], name
+
+
+# labels the JSON escaper must quote or escape
+_ODD = (
+    'q"uote', "back\\slash", "\u00e9", "\u00fc", "c\x01\x1f", "t\tn\n", "\x7f",
+    "\u2028", "\U0001f600",
+)
+
+
+def _relabeled(spec: LatticeSpec, f) -> LatticeSpec:
+    return LatticeSpec(
+        f(spec.name),
+        tuple(map(f, spec.elements)),
+        tuple((f(x), f(y)) for x, y in spec.order_pairs),
+        {mul_key(f(x), f(y)): f(v) for (x, y), v in spec.mul_entries.items()},
+        f(spec.bottom),
+        f(spec.top),
+    )
+
+
+def _hand_built_specs() -> list[LatticeSpec]:
+    chain = tuple(zip(("0", *_ODD), (*_ODD, "1")))
+    return [
+        LatticeSpec("no leq", ("0", "1"), (), {("0", "1"): "0"}),
+        LatticeSpec("no mul", ("0", "a", "1"), (("0", "a"), ("a", "1")), {}),
+        LatticeSpec("nothing", (), (), {}),
+        LatticeSpec(
+            "bounds", ("b", "a", "t"), (("b", "a"), ("a", "t")), {("a", "a"): "a"},
+            bottom="b", top="t",
+        ),
+        LatticeSpec(
+            'odd "name" \\ \u00e9\x00',
+            ("0", *_ODD, "1"),
+            chain,
+            {mul_key(x, y): x for x, y in itertools.combinations(_ODD, 2)},
+        ),
+    ]
+
+
+@pytest.mark.parametrize("universe", ["universe_deep", "universe7"])
+def test_writer_matches_the_json_encoder(request, universe):
+    lattices = [
+        *request.getfixturevalue(universe),
+        *map(preset, PRESET_NAMES),
+        *larger_lattices(),
+    ]
+    specs = [L.to_spec() for L in lattices] + _hand_built_specs()
+    odd = [_relabeled(s, lambda lab: f'{lab}\u00e9"\\\u00fc\x02') for s in specs]
+    for spec in specs + odd:
+        assert serialize_spec(spec) == serialize_spec_naive(spec), spec.name
 
 
 def test_validate_bottom_equals_top(capsys, tmp_path):
@@ -308,6 +385,39 @@ def test_enumerate_size7_catalog_frozen(request, tmp_path, capsys):
     if not request.config.getoption("--size7"):
         pytest.skip("needs --size7")
     _assert_catalog_frozen(7, tmp_path, capsys)
+
+
+def test_main_calls_share_one_parser(monkeypatch, preset_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    # argparse's own __init__ names ArgumentParser, so count in place
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        path = str(preset_file("L1"))
+        for argv in (["validate", path], ["classify", path], ["examples", "--name", "L2"]):
+            assert main(argv) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("comaxlat") == 1
+
+
+def test_a_refused_call_leaves_the_parser_as_it_was(capsys, preset_file):
+    path = str(preset_file("L4"))
+    assert main(["classify", path]) == 0
+    before = capsys.readouterr().out
+    for argv in (["enumerate"], ["bogus"], ["enumerate", "--size", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr().out == before
 
 
 def test_console_entry_point_via_subprocess(tmp_path):

@@ -15,8 +15,8 @@ from bruteforce import (
     generates_naive,
     is_prime_naive,
     join_principal_naive,
+    larger_lattices,
     meet_principal_naive,
-    product_lattice,
     quotient_table_naive,
     weak_join_principal_naive,
     weak_meet_principal_naive,
@@ -436,16 +436,7 @@ def test_from_tables_rejects_product_above_meet_and_non_monotone():
 def _with_larger_lattices(lattices, presets):
     """``lattices`` and the presets, plus shapes and products larger than
     anything the tier-1 universe holds."""
-    L1, L3, E16 = preset("L1"), preset("L3"), preset("E16")
-    return [
-        *lattices,
-        *presets,
-        boolean_lattice(4),
-        chain_lattice(8),
-        product_lattice(L1, L3),
-        product_lattice(E16, chain_lattice(3)),
-        product_lattice(boolean_lattice(2), L3),
-    ]
+    return [*lattices, *presets, *larger_lattices()]
 
 
 @pytest.mark.parametrize("universe", ["universe_deep", "universe7"])

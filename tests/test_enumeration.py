@@ -22,6 +22,7 @@ from bruteforce import (
     naive_multiplications,
     naive_space,
     order_automorphisms_naive,
+    product_lattice,
 )
 from comaxlat import enumeration
 from comaxlat.cli import main
@@ -58,6 +59,8 @@ MULT_COUNTS = {
     6: [0, 0, 0, 0, 0, 0, 0, 2, 0, 3, 1, 4, 13, 12, 94],
 }
 TOTALS = {1: 0, 2: 1, 3: 2, 4: 7, 5: 26, 6: 129}
+# Decomposable lattices per size, one per product A x B with |A|, |B| >= 2.
+DECOMPOSABLE_COUNTS = {2: 0, 3: 0, 4: 1, 5: 0, 6: 2, 7: 0}
 # Per-order counts at size 7, frozen from the search without associativity
 # pruning; checked under --size7.
 SIZE7_MULT_COUNTS = [0] * 34 + [
@@ -396,6 +399,42 @@ def test_size7_domains_are_lattices_with_a_bottom_adjoined(universe7):
     _check_domains_adjoin_a_bottom(universe7, [7])
 
 
+def _decomposable(L) -> bool:
+    # idempotents e and f, neither a bound, with e v f = 1 and e*f = 0
+    idem = [
+        e for e in L.elements() if e not in (L.bottom, L.top) and L.mul2(e, e) == e
+    ]
+    return any(
+        L.join2(e, f) == L.top and L.mul2(e, f) == L.bottom
+        for e, f in itertools.combinations(idem, 2)
+    )
+
+
+def _check_decomposables_are_products(universe, sizes) -> None:
+    # such e and f split L as (down e) x (down f), by x -> (x /\ e, x /\ f),
+    # so the decomposable lattices are exactly the products
+    for n in sizes:
+        decomposable = {
+            canonical_form(L) for L in universe if L.n == n and _decomposable(L)
+        }
+        products = {
+            canonical_form(product_lattice(A, B))
+            for A in universe
+            for B in universe
+            if A.n >= 2 and B.n >= 2 and A.n * B.n == n
+        }
+        assert decomposable == products, f"size {n}"
+        assert len(products) == DECOMPOSABLE_COUNTS[n], f"size {n}"
+
+
+def test_decomposable_lattices_are_direct_products(universe6):
+    _check_decomposables_are_products(universe6, range(2, 7))
+
+
+def test_size7_decomposable_lattices_are_direct_products(universe7):
+    _check_decomposables_are_products(universe7, [7])
+
+
 def _catalog_matches_fresh_canonical_forms(universe, size, tmp_path):
     argv = ["enumerate", "--size", str(size), "--out", str(tmp_path)]
     assert main(argv + (["--allow-size-7"] if size > 6 else [])) == 0
@@ -426,6 +465,12 @@ def test_size7_catalog_canon_matches_fresh_canonical_form(
     universe7, tmp_path, capsys
 ):
     _catalog_matches_fresh_canonical_forms(universe7, 7, tmp_path)
+
+
+@pytest.mark.parametrize("universe", ["universe6", "universe7"])
+def test_universe_key_is_the_canonical_form(request, universe):
+    for L in request.getfixturevalue(universe):
+        assert enumeration._universe_key(L) == canonical_form(L), L.name
 
 
 def test_universe_is_deterministic_and_cached(universe5):

@@ -19,8 +19,8 @@ from bruteforce import (
     dimension_naive,
     is_primary_naive,
     is_prime_naive,
+    larger_lattices,
     min_primes_naive,
-    product_lattice,
     radical_by_nilpotents,
 )
 from comaxlat.core import LatticeSpec, validate_lattice
@@ -38,14 +38,7 @@ def lattices(universe_deep, all_presets):
 def shapes(lattices):
     """The lattices above plus a larger Boolean lattice, a longer chain and
     three direct products, for the facts that follow from the axioms."""
-    L1, L3, E16 = preset("L1"), preset("L3"), preset("E16")
-    return lattices + [
-        boolean_lattice(4),
-        chain_lattice(8),
-        product_lattice(L1, L3),
-        product_lattice(E16, chain_lattice(3)),
-        product_lattice(boolean_lattice(2), L3),
-    ]
+    return lattices + larger_lattices()
 
 
 # The facts below follow from the axioms that from_tables checks, so no
