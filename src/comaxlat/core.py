@@ -592,7 +592,9 @@ class FiniteMultLattice:
         return self._powers[x]
 
     def power(self, x: Elt, k: int) -> Elt:
-        """``x`` raised to the ``k``-th power, ``k >= 1``."""
+        """``x`` raised to the ``k``-th power; :class:`ValueError` for ``k < 1``."""
+        if k < 1:
+            raise ValueError(f"exponent must be at least 1, got {k}")
         chain = self._powers[x]
         return chain[k - 1] if k <= len(chain) else chain[-1]
 

@@ -5,17 +5,17 @@ elements (one per isomorphism class), then for each order generate all
 multiplication tables satisfying the axioms, up to order-automorphism.
 
 Isomorphism classes are identified by a canonical byte form minimized
-over relabelings that fix the bottom and the top (an order isomorphism
-always maps bounds to bounds, so nothing is lost).  The order bytes
-come first in that form, so only the relabelings that carry the order
-to its canonical up-masks can reach the minimum.  One helper,
-``_canonical_order``, computes those up-masks together with the
-relabelings that reach them; the order stage, the automorphism dedup
-and :func:`canonical_form` all use it.  It keeps nothing between calls
-and fixes the rows one position at a time, so its cost follows the tied
-prefixes, with (n-2)! as the bound.  The order stage runs it once per
-placed labeling, and places only labelings whose down-set sizes never
-decrease.
+over relabelings sending the bottom to 0 and the top to n-1 (an order
+isomorphism always maps bounds to bounds, so nothing is lost).  The
+order bytes come first in that form, so only the relabelings that carry
+the order to its canonical up-masks can reach the minimum.  One helper,
+``_canonical_order``, takes an order as given, finds its bounds, and
+computes those up-masks together with the relabelings that reach them;
+the order stage, the automorphism dedup and :func:`canonical_form` all
+use it.  It keeps nothing between calls and fixes the rows one position
+at a time, so its cost follows the tied prefixes, with (n-2)! as the
+bound.  The order stage runs it once per placed labeling, and places
+only labelings whose down-set sizes never decrease.
 
 The multiplication search only branches on products of proper
 join-irreducible elements: the remaining entries are forced by join
@@ -146,22 +146,24 @@ def _permute_up(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int
 def _canonical_order(
     up: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Canonical up-masks of an order with bottom 0 and top n-1.
+    """Canonical up-masks of a bounded order, its bounds anywhere.
 
     Returns the relabeled up-masks whose ``_encode_leq`` is least, and
-    every relabeling fixing 0 and n-1 that produces them, sorted.  Rows
-    are fixed one position at a time.  Row i of ``x`` reads its bits on
-    the elements placed at 1..i-1, its own 1, then its bits on those
-    left.  An element left above ``x`` has the smaller row (its placed
-    upper bounds are among those of ``x``, and fewer left lie above it),
-    so only maximal elements left compete, their rows end in zeros, and
-    the least row is the least pattern of placed upper bounds.  Every
-    prefix with the least row survives, ties included: at most
-    (n-2)!/(n-2-i)! of them at row i.
+    every relabeling sending the bottom (largest up-mask) to 0 and the
+    top (least, its own bit only) to n-1 that produces them, sorted.
+    Rows are fixed one position at a time.  Row i of ``x`` reads its
+    bits on the elements placed at 1..i-1, its own 1, then its bits on
+    those left.  An element left above ``x`` has the smaller row (its
+    placed upper bounds are among those of ``x``, and fewer left lie
+    above it), so only maximal elements left compete, their rows end in
+    zeros, and the least row is the least pattern of placed upper
+    bounds.  Every prefix with the least row survives, ties included: at
+    most (n-2)!/(n-2-i)! of them at row i.
     """
     n = len(up)
-    top = 1 << n - 1
-    states = [((), top - 2)]  # elements placed at 1..i-1, mask of those left
+    bottom, top = up.index(max(up)), up.index(min(up))
+    top_bit = 1 << top
+    states = [((), max(up) ^ (1 << bottom | top_bit))]  # placed at 1..i-1, left
     for _ in range(n - 2):
         best, survivors = None, []
         for placed, left in states:
@@ -174,7 +176,7 @@ def _canonical_order(
                 if ux & left != bit:
                     continue  # an element left above x has a smaller row
                 row = 0  # the placed upper bounds; rows share one width
-                if ux & ~left != top:
+                if ux & ~left != top_bit:
                     for e in placed:
                         row = row << 1 | ux >> e & 1
                 if best is None or row < best:
@@ -184,7 +186,7 @@ def _canonical_order(
         states = survivors
     # perm[x] is the position of x
     reach = sorted(
-        tuple(map((0, *placed, n - 1).index, range(n))) for placed, _ in states
+        tuple(map((bottom, *placed, top).index, range(n))) for placed, _ in states
     )
     return _permute_up(up, reach[0], n), tuple(reach)
 
@@ -203,17 +205,8 @@ def canonical_form(L: FiniteMultLattice) -> bytes:
         raise SizeCapExceeded(
             f"canonical_form takes at most {_CANONICAL_FORM_MAX} elements, got {n}"
         )
-    # move the bounds to 0 and n-1, keeping the other elements in order
-    mids = [i for i in range(n) if i not in (L.bottom, L.top)]
-    bounds_out = [0] * n
-    bounds_out[L.top] = n - 1
-    for k, x in enumerate(mids, start=1):
-        bounds_out[x] = k
-    up, reach = _canonical_order(_permute_up(L._up, tuple(bounds_out), n))
-    mul = min(
-        _encode_relabeled_mul(L._mul, tuple(perm[k] for k in bounds_out))
-        for perm in reach
-    )
+    up, reach = _canonical_order(L._up)
+    mul = min(_encode_relabeled_mul(L._mul, perm) for perm in reach)
     return bytes([n]) + _encode_leq(up, n) + mul
 
 

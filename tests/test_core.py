@@ -391,6 +391,13 @@ def test_power_chain():
     assert L1.power(d, 9) == chain[-1]
 
 
+@pytest.mark.parametrize("k", [0, -1, -5])
+def test_power_refuses_exponents_below_1(k):
+    L1 = preset("L1")
+    with pytest.raises(ValueError, match=f"exponent must be at least 1, got {k}"):
+        L1.power(L1.index("d"), k)
+
+
 def test_lattice_keeps_fewer_than_30_attributes():
     # From 30 instance attributes on, CPython 3.11 stops sharing dict keys
     # between instances and every attribute lookup on a lattice slows down.

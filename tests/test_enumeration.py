@@ -180,6 +180,45 @@ def test_size8_canonical_order_matches_the_naive_twin(request, monkeypatch):
     _check_kernel_against_twin(enumerate_bounded_lattices(8, size_cap=8))
 
 
+def _check_kernel_with_the_bounds_anywhere(ups) -> None:
+    # sigma moves the bottom and the top too; the relabelings that reach the
+    # canonical up-masks of sigma.up are exactly pi o sigma^-1, for pi those
+    # of the order as given
+    rng = random.Random(len(ups))
+    for up in ups:
+        n = len(up)
+        assert up[0] == (1 << n) - 1 and up[-1] == 1 << n - 1  # bounds 0, n-1
+        canon, reach = enumeration._canonical_order(up)
+        for _ in range(2):
+            sigma = list(range(n))
+            while n > 1 and (sigma[0] == 0 or sigma[-1] == n - 1):
+                rng.shuffle(sigma)
+            inverse = sorted(range(n), key=sigma.__getitem__)
+            moved = enumeration._permute_up(up, tuple(sigma), n)
+            expected = tuple(sorted(tuple(pi[y] for y in inverse) for pi in reach))
+            assert enumeration._canonical_order(moved) == (canon, expected), (
+                up,
+                sigma,
+            )
+
+
+def test_canonical_order_takes_the_bounds_anywhere():
+    m6 = ((1 << 8) - 1, *(1 << i | 1 << 7 for i in range(1, 7)), 1 << 7)
+    _check_kernel_with_the_bounds_anywhere(
+        [o.up for n in range(1, 8) for o in enumerate_bounded_lattices(n, size_cap=7)]
+        + [m6, chain_lattice(10)._up, boolean_lattice(3)._up]
+    )
+
+
+def test_size8_canonical_order_takes_the_bounds_anywhere(request, monkeypatch):
+    if not request.config.getoption("--size8"):
+        pytest.skip("needs --size8")
+    monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
+    _check_kernel_with_the_bounds_anywhere(
+        [o.up for o in enumerate_bounded_lattices(8, size_cap=8)]
+    )
+
+
 def _check_order_automorphisms(orders) -> None:
     for order in orders:
         autos = enumeration.order_automorphisms(order)
@@ -471,6 +510,44 @@ def test_size7_catalog_canon_matches_fresh_canonical_form(
 def test_universe_key_is_the_canonical_form(request, universe):
     for L in request.getfixturevalue(universe):
         assert enumeration._universe_key(L) == canonical_form(L), L.name
+
+
+@pytest.mark.parametrize(
+    "universe, digest",
+    [
+        ("universe6", "81c2b3a210a071a3f3160c513de845f1ece8ed92fc9ec71a8360fc8841c4bae2"),
+        ("universe7", "4b0d952b73c25ca2b965f5a8554ef8bf1d29f6a18db2e31a2807b2b008728e1e"),
+    ],
+)
+def test_canonical_forms_frozen(request, universe, digest):
+    # sha256 of the concatenated canonical forms, in universe order
+    forms = b"".join(canonical_form(L) for L in request.getfixturevalue(universe))
+    assert hashlib.sha256(forms).hexdigest() == digest
+
+
+def test_size8_universe_key_is_the_canonical_form(request, monkeypatch):
+    if not request.config.getoption("--size8"):
+        pytest.skip("needs --size8")
+    monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
+    lattices = [
+        L
+        for order in enumerate_bounded_lattices(8, size_cap=8)
+        for L in enumerate_multiplications(order)
+    ]
+    assert len(lattices) == 4712
+    for L in lattices:
+        assert enumeration._universe_key(L) == canonical_form(L), L.name
+    rng = random.Random(8)
+    for L in rng.sample(lattices, 40):
+        spec = L.to_spec()
+        shuffled = list(spec.elements)
+        rng.shuffle(shuffled)
+        relabeled = validate_lattice(
+            LatticeSpec(spec.name, tuple(shuffled), spec.order_pairs, spec.mul_entries)
+        )
+        key = enumeration._universe_key(L)
+        assert canonical_form(relabeled) == key, L.name
+        assert canonical_form_by_all_relabelings(relabeled) == key, L.name
 
 
 def test_universe_is_deterministic_and_cached(universe5):
