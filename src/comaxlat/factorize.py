@@ -7,7 +7,9 @@ factor is primary (CQ), every factor is a prime power (CPP).  When a
 factorization of a given strength exists it is unique, which makes the
 constructive route (lift the minimal primes through the radical) and
 the brute-force route (scan all comaximal subsets) comparable; the
-test-suite keeps the two in agreement.
+test-suite keeps the two in agreement.  :func:`factor` and the factor
+table behind :func:`classify_lattice` share one lift, which reads the
+lattice's product, quotient and join tables directly.
 
 All functions are pure; ``classify_lattice`` may be evaluated on many
 lattices concurrently and its output depends only on the input lattice.
@@ -154,12 +156,48 @@ def _radical_lift(
     """:func:`refine_by_radical` through ``parts``, as a function of ``b``.
 
     Checks nothing: the caller guarantees the preconditions.  Each
-    part's cofactor power chain is computed once, for every ``b``.
+    part's cofactor power chain is computed once, for every ``b``.  The
+    cofactors fold from the top as ``L.mul`` does and the joins from
+    the bottom as ``L.join`` does, on the lattice's own tables.
     """
-    chains = [
-        L.power_chain(L.mul(parts[:i] + parts[i + 1:])) for i in range(len(parts))
-    ]
-    return lambda b: [L.join(L.quotient(b, ck) for ck in chain) for chain in chains]
+    mul, quot, join, bottom = L._mul, L._quot, L._join, L.bottom
+    chains = []
+    for i in range(len(parts)):
+        c = L.top
+        for j, p in enumerate(parts):
+            if j != i:
+                c = mul[c][p]
+        chains.append(L._powers[c])
+
+    def lift(b: Elt) -> list[Elt]:
+        qb = quot[b]
+        out = []
+        for chain in chains:
+            r = bottom
+            for ck in chain:
+                r = join[r][qb[ck]]
+            out.append(r)
+        return out
+
+    return lift
+
+
+def _cpr_lift(
+    L: FiniteMultLattice, a: Elt
+) -> tuple[Optional[list[Elt]], Optional[tuple[Elt, Elt]]]:
+    """``(factors, None)`` with a's prime-radical factors, unsorted, or
+    ``(None, (p, q))`` with the first pair of its minimal primes, in
+    index order, that is not comaximal.
+
+    Minimal primes are proper, and a prime above their product lies
+    above one of them, so the product has a's radical and the lift
+    applies.  Shared by :func:`factor` and :func:`_factor_kinds`.
+    """
+    mins = L._min_primes[a]
+    for p, q in itertools.combinations(mins, 2):
+        if L._join[p][q] != L.top:
+            return None, (p, q)
+    return _radical_lift(L, mins)(a), None
 
 
 def _kind_failure(
@@ -189,21 +227,18 @@ def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
     """
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
-    mins = L.min_primes(a)
-    for p, q in itertools.combinations(mins, 2):
-        if not L.comaximal(p, q):
-            min_set = ",".join(L.label(x) for x in mins)
-            raise NoFactorization(
-                kind,
-                a,
-                "min_not_comaximal",
-                (p, q),
-                f"Min({L.label(a)})={{{min_set}}} not comaximal "
-                f"({L.label(p)} v {L.label(q)} = {L.label(L.join2(p, q))})",
-            )
-    # minimal primes are proper, and a prime above their product lies
-    # above one of them, so the product has a's radical: the lift applies
-    factors = _radical_lift(L, mins)(a)
+    factors, pair = _cpr_lift(L, a)
+    if factors is None:
+        p, q = pair
+        min_set = ",".join(L.label(x) for x in L.min_primes(a))
+        raise NoFactorization(
+            kind,
+            a,
+            "min_not_comaximal",
+            pair,
+            f"Min({L.label(a)})={{{min_set}}} not comaximal "
+            f"({L.label(p)} v {L.label(q)} = {L.label(L.join2(p, q))})",
+        )
     for f in factors:
         reason = _kind_failure(L, f, kind)
         if reason is not None:
@@ -242,24 +277,23 @@ def _comaximal_walk(
     is extended.
     """
     m = len(candidates)
+    join, mul, top = L._join, L._mul, L.top
     # later[i]: positions j > i whose candidate is comaximal to the i-th
-    later = [
-        _mask(
-            j for j in range(i + 1, m) if L.comaximal(candidates[i], candidates[j])
-        )
-        for i in range(m)
-    ]
-    # each level holds (positions, positions that may extend the set, product)
-    level = [((i,), later[i], L.mul2(L.top, c)) for i, c in enumerate(candidates)]
+    later = []
+    for i, c in enumerate(candidates):
+        row = join[c]
+        later.append(_mask(j for j in range(i + 1, m) if row[candidates[j]] == top))
+    # each level holds (set, positions that may extend it, product)
+    level = [((c,), later[i], mul[top][c]) for i, c in enumerate(candidates)]
     while level:
         nxt = []
-        for positions, ext, prod in level:
-            yield tuple(candidates[i] for i in positions), prod
+        for subset, ext, prod in level:
+            yield subset, prod
+            row = mul[prod]
             while ext:
                 j = (ext & -ext).bit_length() - 1
-                nxt.append(
-                    (positions + (j,), ext & later[j], L.mul2(prod, candidates[j]))
-                )
+                c = candidates[j]
+                nxt.append((subset + (c,), ext & later[j], row[c]))
                 ext &= ext - 1
         level = nxt
 
@@ -290,42 +324,50 @@ def oracle_factorizations(
     """
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
-    return _oracle_table(L, kind)[a]
+    return [
+        Factorization(kind=kind, target=a, factors=subset)
+        for subset in _oracle_table(L, kind)[a]
+    ]
 
 
 def _oracle_table(
     L: FiniteMultLattice, kind: FactorKind
-) -> dict[Elt, list[Factorization]]:
+) -> dict[Elt, list[tuple[Elt, ...]]]:
     """:func:`oracle_factorizations` of every proper element, from one walk.
+
+    Only the factor tuples are kept: the checkers count them, and
+    :func:`oracle_factorizations` wraps the row it reads.
 
     Each set of the walk is filed under its product, so every list
     keeps the walk's order.
     """
-    table: dict[Elt, list[Factorization]] = {a: [] for a in L.proper_elements()}
+    table: dict[Elt, list[tuple[Elt, ...]]] = {a: [] for a in L.proper_elements()}
     for subset, prod in _comaximal_walk(L, _oracle_candidates(L, kind)):
         if prod in table:  # the top has no factorization by definition
-            table[prod].append(Factorization(kind=kind, target=prod, factors=subset))
+            table[prod].append(subset)
     return table
 
 
 def _factor_kinds(L: FiniteMultLattice) -> dict[FactorKind, int]:
     """For each kind, the bitmask of proper elements factoring with it.
 
-    One prime-radical lift per element: a primary or prime-power
-    factorization is also the prime-radical one (see :func:`factor`), so
-    the stronger kinds are decided on the lifted factors.
+    One prime-radical lift per element (:func:`_cpr_lift`): a primary or
+    prime-power factorization is also the prime-radical one (see
+    :func:`factor`), so the stronger kinds are decided on the lifted
+    factors, as :func:`_kind_failure` decides them.
     """
-    kinds = tuple(FactorKind)
-    masks = [0] * len(kinds)
+    cpr = cq = cpp = 0
     for a in L.proper_elements():
-        try:
-            factors = factor(L, a, FactorKind.CPR).factors
-        except NoFactorization:
+        factors, _ = _cpr_lift(L, a)
+        if factors is None:
             continue
-        for i, kind in enumerate(kinds):
-            if not any(_kind_failure(L, f, kind) for f in factors):
-                masks[i] |= 1 << a
-    return dict(zip(kinds, masks))
+        bit = 1 << a
+        cpr |= bit
+        if all(map(L.is_primary, factors)):
+            cq |= bit
+        if all(map(L.prime_power_witness, factors)):  # a pair, or None
+            cpp |= bit
+    return {FactorKind.CPR: cpr, FactorKind.CQ: cq, FactorKind.CPP: cpp}
 
 
 def classify_lattice(L: FiniteMultLattice) -> ClassificationReport:

@@ -117,12 +117,13 @@ class _Ctx:
     @cached_property
     def gen_products_admit(self) -> frozenset[FactorKind]:
         """The kinds every product of two proper generators admits."""
-        L = self.L
+        top, mul = self.L.top, self.L._mul
+        proper = [g for g in self.gens if g != top]
         products = 0
-        for g in self.gens:
-            for h in self.gens:
-                if g != L.top and h != L.top:
-                    products |= 1 << L.mul2(g, h)
+        for g in proper:
+            row = mul[g]
+            for h in proper:
+                products |= 1 << row[h]
         return frozenset(k for k, mask in self.kinds.items() if not products & ~mask)
 
 
@@ -231,7 +232,10 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
     comparison is made once per ordered pair of distinct sequences,
     each standing for its first pair (b, c) in index order; visiting
     the sequences in that order reports the same first failing tuple
-    as the loop over all 4-tuples.  Each pair is padded to its own
+    as the loop over all 4-tuples.  When the meet table is symmetric a
+    pair fails exactly when its reverse does, so the first failing
+    ordered pair (i, j) has i <= j, and scanning the pairs with i <= j
+    alone reports the same witness.  Each pair is padded to its own
     longer length (a join need not be idempotent in a table that breaks
     the axioms), so each sequence keeps its padded form and that form's
     join, folded from the bottom as ``L.join`` does, for every length
@@ -240,43 +244,53 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
     L = ctx.L
     els = L.elements()
     bottom = L.bottom
-    quot, join, meet = L._quot, L._join, L._meet
+    quot, join, meet, rad = L._quot, L._join, L._meet, L._radical
     chains = [L.power_chain(c) for c in els]
-    firsts: dict[tuple[Elt, ...], tuple[Elt, Elt]] = {}
+    # firsts[seq] = (its first pair (b, c), its join)
+    firsts: dict[tuple[Elt, ...], tuple[tuple[Elt, Elt], Elt]] = {}
     for b in els:
-        qb, rb = quot[b], quot[L.radical(b)]
+        qb, rb = quot[b], quot[rad[b]]
         for c in els:
-            seq = tuple(qb[ck] for ck in chains[c])
-            firsts.setdefault(seq, (b, c))
-            r = bottom
-            for x in seq:
-                r = join[r][x]
-            if rb[c] != L.radical(r):
+            seq = tuple(map(qb.__getitem__, chains[c]))
+            known = firsts.get(seq)
+            if known is None:
+                r = bottom
+                for x in seq:
+                    r = join[r][x]
+                known = firsts[seq] = (b, c), r
+            if rb[c] != rad[known[1]]:
                 return True, False, (b, c)
 
     lengths = {len(seq) for seq in firsts}
-    # forms[i] = (length, {padded length: (padded form, its join)}, first pair)
+    longest = max(lengths)
+    # forms[i] = (length, padded, first pair), padded[kk] = (the form padded
+    # to length kk, its join) for every kk it meets
     forms = []
-    for seq, first in firsts.items():
-        padded = {}
+    for seq, (first, joined) in firsts.items():
+        padded: list = [None] * (longest + 1)
+        padded[len(seq)] = seq, joined
         for kk in lengths:
-            if kk >= len(seq):
+            if kk > len(seq):
                 form = seq + seq[-1:] * (kk - len(seq))
                 r = bottom
                 for x in form:
                     r = join[r][x]
                 padded[kk] = form, r
         forms.append((len(seq), padded, first))
-    for len1, padded1, first1 in forms:
-        for len2, padded2, first2 in forms:
-            kk = len1 if len1 > len2 else len2
-            s1, j1 = padded1[kk]
-            s2, j2 = padded2[kk]
-            r = bottom
-            for x, y in zip(s1, s2):
-                r = join[r][meet[x][y]]
-            if meet[j1][j2] != r:
-                return True, False, (*first1, *first2)
+
+    if all(map(operator.eq, meet, zip(*meet))):
+        pairs = itertools.combinations_with_replacement(forms, 2)
+    else:
+        pairs = itertools.product(forms, repeat=2)
+    for (len1, padded1, first1), (len2, padded2, first2) in pairs:
+        kk = len1 if len1 > len2 else len2
+        s1, j1 = padded1[kk]
+        s2, j2 = padded2[kk]
+        r = bottom
+        for x, y in zip(s1, s2):
+            r = join[r][meet[x][y]]
+        if meet[j1][j2] != r:
+            return True, False, (*first1, *first2)
     return True, True, None
 
 
@@ -292,35 +306,42 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     graph (:func:`comaximal_sets`), so their number bounds the cost.
     Each decomposition meets the lift's preconditions, so its lift is
     built once, unchecked, for all its b.  The scan draws only
-    candidates above b, as every factor of b is, and its matches must
-    be the lifted tuple alone: a lifted tuple that breaks the product,
-    the radicals or comaximality is never a match.
+    candidates above b, as every factor of b is, from the mask of the
+    elements with the wanted radical, and its matches must be the
+    lifted tuple alone: a lifted tuple that breaks the product, the
+    radicals or comaximality is never a match.  The matches depend on
+    b and the parts' radicals only, so each such pair is scanned once
+    per call.  Products fold from the top as ``L.mul`` does, and each
+    pair is tested as ``join[x][y]`` with x before y in the tuple.
     """
     L = ctx.L
-    # same_radical[r]: the elements with radical r, in index order
-    same_radical: dict[Elt, list[Elt]] = {}
+    rad, up, mul, join, top = L._radical, L._up, L._mul, L._join, L.top
+    # same_radical[r]: the mask of the elements with radical r
+    same_radical: dict[Elt, int] = {}
     for d in L.elements():
-        same_radical.setdefault(L.radical(d), []).append(d)
+        same_radical[rad[d]] = same_radical.get(rad[d], 0) | 1 << d
+    members = {r: _members(mask) for r, mask in same_radical.items()}
+    matches: dict[tuple[Elt, tuple[Elt, ...]], list[tuple[Elt, ...]]] = {}
     for parts, a in _comaximal_walk(L, L.proper_elements()):
-        ra = L.radical(a)
-        rads = [L.radical(p) for p in parts]
+        ra = rad[a]
+        rads = tuple(rad[p] for p in parts)
         if a == ra and any(p != r for p, r in zip(parts, rads)):
             return True, False, parts
         lift = _radical_lift(L, parts)
-        for b in same_radical[ra]:
-            candidates = [
-                [d for d in same_radical[r] if L.leq(b, d)] for r in rads
-            ]
-            matches = [
-                tup
-                for tup in itertools.product(*candidates)
-                if L.mul(tup) == b
-                and all(
-                    L.comaximal(x, y)
-                    for x, y in itertools.combinations(tup, 2)
-                )
-            ]
-            if matches != [tuple(lift(b))]:
+        for b in members[ra]:
+            key = b, rads
+            if key not in matches:
+                found = matches[key] = []
+                candidates = [_members(same_radical[r] & up[b]) for r in rads]
+                for tup in itertools.product(*candidates):
+                    prod = top
+                    for x in tup:
+                        prod = mul[prod][x]
+                    if prod == b and all(
+                        join[x][y] == top for x, y in itertools.combinations(tup, 2)
+                    ):
+                        found.append(tup)
+            if matches[key] != [tuple(lift(b))]:
                 return True, False, (b, *parts)
     return True, True, None
 
@@ -336,12 +357,11 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
     L = ctx.L
     oracle = _oracle_table(L, FactorKind.CPR)
     cpr = ctx.kinds[FactorKind.CPR]
+    join, top = L._join, L.top
     for a in L.proper_elements():
         found = oracle[a]
         mins = L.min_primes(a)
-        comax = all(
-            L.comaximal(p, q) for p, q in itertools.combinations(mins, 2)
-        )
+        comax = all(join[p][q] == top for p, q in itertools.combinations(mins, 2))
         if len(found) > 1 or (len(found) == 1) != comax:
             return True, False, (a,)
         if bool(cpr >> a & 1) != comax:

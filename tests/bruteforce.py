@@ -573,6 +573,103 @@ def oracle_factorizations_naive(L: FiniteMultLattice, a: int, kind: FactorKind):
     return out
 
 
+def factor_kinds_naive(L: FiniteMultLattice) -> dict[FactorKind, int]:
+    """For each kind, the bitmask of proper elements that factor with it.
+
+    One public prime-radical :func:`factor` per element; the stronger
+    kinds are decided on its factors with the public predicates.
+    """
+    masks = {kind: 0 for kind in FactorKind}
+    for a in L.proper_elements():
+        try:
+            factors = factor(L, a, FactorKind.CPR).factors
+        except NoFactorization:
+            continue
+        masks[FactorKind.CPR] |= 1 << a
+        if all(L.is_primary(f) for f in factors):
+            masks[FactorKind.CQ] |= 1 << a
+        if all(L.prime_power_witness(f) is not None for f in factors):
+            masks[FactorKind.CPP] |= 1 << a
+    return masks
+
+
+def thm_unique_lift_naive(L: FiniteMultLattice):
+    """Every comaximal decomposition lifts uniquely through the radical.
+
+    For each pairwise comaximal set of proper parts with product a: if a
+    is radical, so is every part; and for each b with a's radical, in
+    index order, the tuples above b with the parts' radicals that are
+    pairwise comaximal and multiply to b must be exactly the lift, whose
+    i-th entry is the join of the (b : c**k), c the product of the other
+    parts.
+    """
+    for parts in comaximal_subsets_naive(L):
+        a = L.mul(parts)
+        ra = L.radical(a)
+        rads = [L.radical(p) for p in parts]
+        if a == ra and any(p != r for p, r in zip(parts, rads)):
+            return True, False, parts
+        cofactors = [L.mul(parts[:i] + parts[i + 1:]) for i in range(len(parts))]
+        for b in L.elements():
+            if L.radical(b) != ra:
+                continue
+            lift = tuple(
+                L.join(L.quotient(b, ck) for ck in L.power_chain(c))
+                for c in cofactors
+            )
+            candidates = [
+                [d for d in L.elements() if L.radical(d) == r and L.leq(b, d)]
+                for r in rads
+            ]
+            matches = [
+                tup
+                for tup in itertools.product(*candidates)
+                if L.mul(tup) == b
+                and all(L.comaximal(x, y) for x, y in itertools.combinations(tup, 2))
+            ]
+            if matches != [lift]:
+                return True, False, (b, *parts)
+    return True, True, None
+
+
+def thm_cpr_criterion_naive(L: FiniteMultLattice):
+    """An element has a prime-radical factorization iff its minimal primes
+    are pairwise comaximal, and then only one; every element has one iff
+    the lattice is treed.
+
+    The factorizations come from :func:`oracle_factorizations_naive` and
+    from the public :func:`factor`; the lattice flag from
+    :func:`classify_lattice`.
+    """
+    for a in L.proper_elements():
+        found = oracle_factorizations_naive(L, a, FactorKind.CPR)
+        mins = L.min_primes(a)
+        comax = all(L.comaximal(p, q) for p, q in itertools.combinations(mins, 2))
+        try:
+            factor(L, a, FactorKind.CPR)
+            factors = True
+        except NoFactorization:
+            factors = False
+        if len(found) > 1 or (len(found) == 1) != comax or factors != comax:
+            return True, False, (a,)
+    if classify_lattice(L).is_cpr_lattice != L.lattice_profile().is_treed:
+        return True, False, None
+    return True, True, None
+
+
+def thm_cq_characterization_naive(L: FiniteMultLattice):
+    """Every proper element has exactly one primary factorization iff the
+    lattice is a CPR lattice whose elements with prime radical are primary."""
+    lhs = all(
+        len(oracle_factorizations_naive(L, a, FactorKind.CQ)) == 1
+        for a in L.proper_elements()
+    )
+    rhs = classify_lattice(L).is_cpr_lattice and all(
+        L.is_primary(a) for a in L.proper_elements() if L.is_prime(L.radical(a))
+    )
+    return True, lhs == rhs, None
+
+
 def boolean_lattice(k: int) -> FiniteMultLattice:
     """The subsets of a k-set with meet as product; element i is the subset
     with bitmask i, so the bottom is 0 and the top is 2**k - 1."""

@@ -452,15 +452,19 @@ def _decomposable(L) -> bool:
 def _check_decomposables_are_products(universe, sizes) -> None:
     # such e and f split L as (down e) x (down f), by x -> (x /\ e, x /\ f),
     # so the decomposable lattices are exactly the products
+    by_size = {}
+    for L in universe:
+        by_size.setdefault(L.n, []).append(L)
     for n in sizes:
         decomposable = {
-            canonical_form(L) for L in universe if L.n == n and _decomposable(L)
+            canonical_form(L) for L in by_size.get(n, ()) if _decomposable(L)
         }
         products = {
             canonical_form(product_lattice(A, B))
-            for A in universe
-            for B in universe
-            if A.n >= 2 and B.n >= 2 and A.n * B.n == n
+            for p in range(2, n)
+            if n % p == 0 and n // p >= 2
+            for A in by_size.get(p, ())
+            for B in by_size.get(n // p, ())
         }
         assert decomposable == products, f"size {n}"
         assert len(products) == DECOMPOSABLE_COUNTS[n], f"size {n}"

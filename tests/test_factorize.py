@@ -1,5 +1,6 @@
 """Comaximal factorization: lift construction, factor, oracle, classification."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -14,7 +15,7 @@ from comaxlat.factorize import (
     oracle_factorizations,
     refine_by_radical,
 )
-from comaxlat.presets import preset
+from comaxlat.presets import PRESET_NAMES, preset
 
 
 def _labels(L, xs):
@@ -265,3 +266,50 @@ def test_factorization_factors_are_proper_and_sorted(universe5):
             assert L.mul(f.factors) == a
             for p, q in itertools.combinations(f.factors, 2):
                 assert L.comaximal(p, q)
+
+
+# -- frozen outcomes -------------------------------------------------------------
+
+
+def _factor_outcome_digest(lattices) -> tuple[int, str]:
+    """The row count and sha256 of ``repr`` of every :func:`factor` outcome.
+
+    One row per lattice, proper element and kind, in that nesting:
+    ``(name, a, kind.value, factors)``, or with ``(reason, witness,
+    message)`` of the :class:`NoFactorization` in place of the factors.
+    """
+    rows = []
+    for L in lattices:
+        for a in L.proper_elements():
+            for kind in FactorKind:
+                try:
+                    out = factor(L, a, kind).factors
+                except NoFactorization as exc:
+                    out = (exc.reason, exc.witness, str(exc))
+                rows.append((L.name, a, kind.value, out))
+    return len(rows), hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# Every factor outcome, pinned by _factor_outcome_digest: a changed digest
+# means some factorization, failure reason, witness or message differs.
+FACTOR_OUTCOME_DIGESTS = {
+    "universe5+presets": (
+        465,
+        "bb416f2a752566f06d72df9b0a9ac17359480d6ca83d387283cc7f06466bb995",
+    ),
+    "universe7": (
+        15339,
+        "b7ba9922956c6f2d75667109f0e30a0d876a418d4a5debefba03b58515c037f5",
+    ),
+}
+
+
+def test_factor_outcomes_frozen(universe5):
+    lattices = [*universe5, *(preset(name) for name in PRESET_NAMES)]
+    got = _factor_outcome_digest(lattices)
+    assert got == FACTOR_OUTCOME_DIGESTS["universe5+presets"]
+
+
+def test_size7_factor_outcomes_frozen(universe7):
+    assert len(universe7) == 888
+    assert _factor_outcome_digest(universe7) == FACTOR_OUTCOME_DIGESTS["universe7"]

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -11,11 +12,15 @@ import pytest
 from bruteforce import (
     boolean_lattice,
     comaximal_subsets_naive,
+    factor_kinds_naive,
     lemma_comaximal_naive,
     lemma_formulas_naive,
     oracle_factorizations_naive,
     product_lattice,
+    thm_cpr_criterion_naive,
     thm_cpr_sufficiency_naive,
+    thm_cq_characterization_naive,
+    thm_unique_lift_naive,
 )
 from comaxlat.core import LatticeSpec, validate_lattice
 from comaxlat.enumeration import enumerated_universe
@@ -23,6 +28,7 @@ from comaxlat.factorize import (
     FactorKind,
     NoFactorization,
     _comaximal_walk,
+    _factor_kinds,
     _oracle_table,
     classify_lattice,
     comaximal_sets,
@@ -162,6 +168,9 @@ def test_suite_is_deterministic(all_presets):
 _NAIVE_ENTRIES = {
     "lemma_comaximal": lemma_comaximal_naive,
     "lemma_formulas": lemma_formulas_naive,
+    "thm_unique_lift": thm_unique_lift_naive,
+    "thm_cpr_criterion": thm_cpr_criterion_naive,
+    "thm_cq_characterization": thm_cq_characterization_naive,
 }
 
 
@@ -202,6 +211,7 @@ def _assert_kernels_match_naive(L) -> set[str]:
         ), (L.name, tid)
         if concl is False:
             failing.add(tid)
+    assert _factor_kinds(L) == factor_kinds_naive(L), L.name
     sets = comaximal_subsets_naive(L)
     assert list(comaximal_sets(L, L.proper_elements())) == sets
     walk = list(_comaximal_walk(L, L.proper_elements()))
@@ -214,7 +224,7 @@ def _assert_kernels_match_naive(L) -> set[str]:
         for a in L.proper_elements():
             want = oracle_factorizations_naive(L, a, kind)
             assert oracle_factorizations(L, a, kind) == want, (L.name, a, kind)
-            assert table[a] == want, (L.name, a, kind)
+            assert table[a] == [f.factors for f in want], (L.name, a, kind)
     return failing
 
 
@@ -264,8 +274,27 @@ def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
             failing.update(_assert_kernels_match_naive(C))
             C = _perturbed(L, extra, ("_mul", "_meet"), row=L.top)
             failing.update(f"{tid} (top row)" for tid in _assert_kernels_match_naive(C))
-    assert failing["lemma_comaximal"] > 0 and failing["lemma_formulas"] > 0, failing
+    for tid in _NAIVE_ENTRIES:
+        assert failing[tid] > 0, (tid, failing)
     assert failing["lemma_comaximal (top row)"] > 0, failing
+
+
+def test_kernels_match_naive_twins_on_one_comaximal_cell():
+    # The kernels read each comaximality and product cell as the twins do:
+    # (p, q) with p before q.  Perturbing one cell of a comaximal pair
+    # alone, (p, q) or (q, p), leaves the other intact, so a kernel that
+    # reads the other one disagrees with its twin.  The size-5 universe
+    # has two comaximal pairs; the 8-element Boolean lattice has six.
+    rng = random.Random(20214)
+    failing = Counter()
+    L = boolean_lattice(3)
+    for p, q in itertools.permutations(L.proper_elements(), 2):
+        if L.comaximal(p, q):
+            for table in ("_join", "_mul"):
+                C = _perturbed(L, rng, (table,), row=p, col=q)
+                failing.update(_assert_kernels_match_naive(C))
+    for tid in _NAIVE_ENTRIES.keys() - {"lemma_formulas"}:
+        assert failing[tid] > 0, (tid, failing)
 
 
 def test_unique_lift_fails_on_a_wrong_quotient_by_the_top(universe5):
