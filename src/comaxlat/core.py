@@ -155,7 +155,12 @@ def _mask(xs: Iterable[int]) -> int:
 
 def _members(mask: int) -> tuple[int, ...]:
     """The elements whose bits are set in ``mask``, in index order."""
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _closure(up: list[int], n: int) -> None:
@@ -421,17 +426,23 @@ class FiniteMultLattice:
         # quotient table: quot[y][x] = largest a with a*x <= y.  The a with
         # a*x <= y form a down-set closed under joins (the product is
         # monotone and distributes over joins), so its greatest element is
-        # the first of them in a reverse linear extension.
+        # the first of them in a reverse linear extension.  fixed[y] masks
+        # the x with (y : x) = y.
         descending = self._order.descending
         quot = []
-        for dy in down:
+        fixed = []
+        for y, dy in enumerate(down):
             row = []
-            for mx in mul:
+            fix = 0
+            for x, mx in enumerate(mul):
                 for a in descending:
                     if dy >> mx[a] & 1:
-                        row.append(a)
                         break
+                row.append(a)
+                if a == y:
+                    fix |= 1 << x
             quot.append(tuple(row))
+            fixed.append(fix)
         self._quot = tuple(quot)
 
         # power chains: x, x^2, ... are decreasing in a finite lattice,
@@ -450,22 +461,38 @@ class FiniteMultLattice:
         # (e : x) lies above e, as e*x <= e, and "a*x <= e forces a <= e"
         # says (e : x) <= e.  So p is prime iff the quotient fixes p off
         # down[p], and q is primary iff it fixes q off down[rad q].
-        def fixed_off(e: int, d: int) -> bool:
-            return all(v == e for x, v in enumerate(quot[e]) if not d >> x & 1)
-
-        self._primes = tuple(p for p in range(n) if p != top and fixed_off(p, down[p]))
+        full = (1 << n) - 1
+        self._primes = tuple(
+            p for p in range(n) if p != top and not full & ~down[p] & ~fixed[p]
+        )
         self._prime_mask = primes = _mask(self._primes)
         self._maximal_mask = _mask(
             i for i in range(n) if i != top and up[i] & ~(1 << i) == 1 << top
         )
 
-        self._radical = tuple(self.meet(_members(primes & up[a])) for a in range(n))
-        self._min_primes = tuple(
-            tuple(p for p in _members(above) if above & down[p] == 1 << p)
-            for above in (primes & up[a] for a in range(n))
-        )
+        # one walk over the primes above a, in index order: the radical
+        # folds their meet from the top as meet() does, and p is minimal
+        # when no other of them lies below it
+        meet = self._meet
+        radical = []
+        min_primes = []
+        for a in range(n):
+            above = rest = primes & up[a]
+            r = top
+            mins = []
+            while rest:
+                low = rest & -rest
+                p = low.bit_length() - 1
+                r = meet[r][p]
+                if above & down[p] == low:
+                    mins.append(p)
+                rest ^= low
+            radical.append(r)
+            min_primes.append(tuple(mins))
+        self._radical = rad = tuple(radical)
+        self._min_primes = tuple(min_primes)
         self._primary_mask = _mask(
-            q for q in range(n) if q != top and fixed_off(q, down[self._radical[q]])
+            q for q in range(n) if q != top and not full & ~down[rad[q]] & ~fixed[q]
         )
 
         pp: list[Optional[tuple[int, int]]] = [None] * n
@@ -475,21 +502,24 @@ class FiniteMultLattice:
                     pp[v] = (p, k)
         self._prime_power = tuple(pp)
 
-        # dimension: longest strict chain (edge count) in the prime poset
+        # dimension: longest strict chain (edge count) in the prime poset;
+        # reversed(descending) puts every element after those below it
         height: dict[int, int] = {}
-        for p in sorted(self._primes, key=lambda q: bin(down[q]).count("1")):
-            height[p] = max(
-                (height[q] + 1 for q in _members(primes & down[p] & ~(1 << p))),
-                default=0,
-            )
+        for p in reversed(descending):
+            if primes >> p & 1:
+                height[p] = max(
+                    (height[q] + 1 for q in _members(primes & down[p] & ~(1 << p))),
+                    default=0,
+                )
         self._dimension = max(height.values())
 
+        join = self._join
         self._profile = LatticeProfile(
             is_domain=bool(primes >> bottom & 1),
             is_treed=all(
-                self.comaximal(p, q)
+                join[p][q] == top
                 for p, q in itertools.combinations(self._primes, 2)
-                if not self.leq(p, q) and not self.leq(q, p)
+                if not up[p] >> q & 1 and not up[q] >> p & 1
             ),
             generated_by_principal=all(map(self._principal, self.join_irreducibles())),
         )

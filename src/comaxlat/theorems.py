@@ -21,6 +21,7 @@ evaluated concurrently; the report lists them in the fixed order of
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -155,7 +156,10 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     comaximal is invariant under radicals and under powers (some pair of
     powers works iff all do); (iii) an element comaximal to each of
     c1..ck is comaximal to their product (k = 2, 3 exhaustively; larger
-    k follows by induction from k = 2).
+    k follows by induction from k = 2).  When the top row of the product
+    table is the identity, checked here, k = 3 is decided by k = 2: the
+    products of two members of ``cm[a]`` stay in it, and so do products
+    of three.
 
     Everything reads the masks ``cm[a]`` of the elements comaximal to
     ``a``: the powers of ``b`` are comaximal to all powers of ``a`` iff
@@ -167,28 +171,28 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     factors left, so it is found once per such triple; visiting the ci
     in index order reports the same first failing tuple as the full
     product over the lattice.  The quotient, join, meet and product
-    tables are the lattice's own.
+    tables, the power chains and the radicals are the lattice's own.
     """
     L = ctx.L
     els = L.elements()
     quot, join, meet, mul = L._quot, L._join, L._meet, L._mul
-    cm = [_mask(c for c in els if row[c] == L.top) for row in join]
-    chain = [_mask(L.power_chain(a)) for a in els]
-    every = [reduce(operator.and_, (cm[x] for x in L.power_chain(a))) for a in els]
-    some = [reduce(operator.or_, (cm[x] for x in L.power_chain(a))) for a in els]
-    rad = [L.radical(a) for a in els]
+    top, chains, rad = L.top, L._powers, L._radical
+    cm = [_mask(c for c, v in enumerate(row) if v == top) for row in join]
+    chain = [_mask(powers) for powers in chains]
+    every = [reduce(operator.and_, map(cm.__getitem__, p)) for p in chains]
+    some = [reduce(operator.or_, map(cm.__getitem__, p)) for p in chains]
     for a in els:
-        row, rad_row, all_mask, any_mask = cm[a], cm[rad[a]], every[a], some[a]
+        row, rad_row, off_all, any_mask = cm[a], cm[rad[a]], ~every[a], some[a]
         for b in els:
-            c1 = bool(row >> b & 1)
+            c1 = row >> b & 1
             if c1 and (meet[a][b] != mul[a][b] or quot[a][b] != a):
                 return True, False, (a, b)
             powers = chain[b]
             if not (
                 c1
-                == bool(rad_row >> rad[b] & 1)
-                == (not powers & ~all_mask)
-                == bool(powers & any_mask)
+                == rad_row >> rad[b] & 1
+                == (not powers & off_all)
+                == (powers & any_mask != 0)
             ):
                 return True, False, (a, b)
 
@@ -211,9 +215,12 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
             memo[key] = found
         return memo[key]
 
-    for k in (2, 3):
+    # With the top row the identity, k = 2 passing says cm[a] is closed
+    # under products, so no product of three of its members leaves it.
+    identity = mul[top] == tuple(els)
+    for k in (2,) if identity else (2, 3):
         for a in els:
-            cs = failing(a, L.top, k)
+            cs = failing(a, top, k)
             if cs is not None:
                 return True, False, (a, *cs)
     return True, True, None
@@ -235,7 +242,10 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
     as the loop over all 4-tuples.  When the meet table is symmetric a
     pair fails exactly when its reverse does, so the first failing
     ordered pair (i, j) has i <= j, and scanning the pairs with i <= j
-    alone reports the same witness.  Each pair is padded to its own
+    alone reports the same witness.  When every x v x and 0 v x is x,
+    checked here, a constant sequence joins to its one value, so a pair
+    of constant sequences compares a meet with itself and is skipped;
+    the other pairs keep their order.  Each pair is padded to its own
     longer length (a join need not be idempotent in a table that breaks
     the axioms), so each sequence keeps its padded form and that form's
     join, folded from the bottom as ``L.join`` does, for every length
@@ -278,19 +288,32 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
                 padded[kk] = form, r
         forms.append((len(seq), padded, first))
 
-    if all(map(operator.eq, meet, zip(*meet))):
-        pairs = itertools.combinations_with_replacement(forms, 2)
+    # moving[i]: whether form i is compared with every form, not only
+    # with the moving ones.  When join[x][x] == x and join[bottom][x] == x,
+    # checked here, a constant sequence (x, ..., x) joins to x, so a pair
+    # of constant sequences compares meet[x][y] with itself and is skipped.
+    if all(join[x][x] == x == join[bottom][x] for x in els):
+        moving = [seq.count(seq[0]) != len(seq) for seq in firsts]
     else:
-        pairs = itertools.product(forms, repeat=2)
-    for (len1, padded1, first1), (len2, padded2, first2) in pairs:
-        kk = len1 if len1 > len2 else len2
-        s1, j1 = padded1[kk]
-        s2, j2 = padded2[kk]
-        r = bottom
-        for x, y in zip(s1, s2):
-            r = join[r][meet[x][y]]
-        if meet[j1][j2] != r:
-            return True, False, (*first1, *first2)
+        moving = [True] * len(forms)
+    movers = [i for i, m in enumerate(moving) if m]
+    moving_forms = [forms[i] for i in movers]
+    symmetric = all(map(operator.eq, meet, zip(*meet)))
+    for i, (len1, padded1, first1) in enumerate(forms):
+        lo = i if symmetric else 0
+        if moving[i]:
+            partners = forms[lo:]
+        else:
+            partners = moving_forms[bisect.bisect_left(movers, lo):]
+        for len2, padded2, first2 in partners:
+            kk = len1 if len1 > len2 else len2
+            s1, j1 = padded1[kk]
+            s2, j2 = padded2[kk]
+            r = bottom
+            for x, y in zip(s1, s2):
+                r = join[r][meet[x][y]]
+            if meet[j1][j2] != r:
+                return True, False, (*first1, *first2)
     return True, True, None
 
 
@@ -431,21 +454,23 @@ def _thm_cpr_sufficiency(ctx: _Ctx) -> _Result:
     is outside finitely many primes some generator below a is outside
     them too; (3) pairwise products of generators factor.  (2) is
     decided on the primes not above a, as a generator outside all of
-    them is outside every subset of them."""
+    them is outside every subset of them.  Both (1) and (2) read the
+    up-set masks: the maximal elements above p, and the primes that
+    neither a nor a generator g lies below."""
     L = ctx.L
     if not L.generates(ctx.gens):
         return False, None, None
+    up, primes, maximal = L._up, L._prime_mask, L._maximal_mask
     minimal = set(L.min_primes(L.bottom))
     hyp1 = all(
-        sum(1 for m in L.max_elements() if L.leq(p, m)) < L.n + 1
+        (up[p] & maximal).bit_count() < L.n + 1
         for p in L.spectrum()
         if p not in minimal
     )
-    outside = {a: [p for p in L.spectrum() if not L.leq(a, p)] for a in L.elements()}
+    outside = [primes & ~up[a] for a in L.elements()]
     hyp2 = all(
-        not ps
-        or any(L.leq(g, a) and not any(L.leq(g, p) for p in ps) for g in ctx.gens)
-        for a, ps in outside.items()
+        not ps or any(up[g] >> a & 1 and not up[g] & ps for g in ctx.gens)
+        for a, ps in enumerate(outside)
     )
     hyp3 = FactorKind.CPR in ctx.gen_products_admit
     if not (hyp1 and hyp2 and hyp3):

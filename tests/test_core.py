@@ -546,6 +546,41 @@ def test_size7_profiles_frozen(universe7, all_presets):
     assert _profile_digest(lattices) == PROFILE_DIGESTS["universe7+presets"]
 
 
+def _derived_digest(lattices) -> str:
+    """sha256 over one ``repr`` per lattice, in the given order, of its
+    name and the tables ``_build_caches`` derives: quotients, power
+    chains, primes, maximal elements, radicals, minimal primes, primary
+    elements, prime-power witnesses, dimension and lattice profile."""
+    h = hashlib.sha256()
+    for L in lattices:
+        row = (
+            L._quot, L._powers, L._primes, L._maximal_mask, L._radical,
+            L._min_primes, L._primary_mask, L._prime_power, L._dimension,
+            L._profile,
+        )
+        h.update(repr((L.name, row)).encode())
+    return h.hexdigest()
+
+
+# The derived tables, pinned by _derived_digest; unlike PROFILE_DIGESTS
+# it covers the minimal primes, the power chains and the dimension.
+DERIVED_DIGESTS = {
+    "universe5+presets": "9be1c0290b146659e2ee12c95e40d17cf5876f41fdd6f7d934cb5ab4918a00d9",
+    "universe7+presets": "39a9bf3484901cb4ca4286bdaec3a83a9f1121a472ccbe101dc41276ce29229c",
+}
+
+
+def test_derived_data_frozen(universe5, all_presets):
+    lattices = [*universe5, *all_presets, boolean_lattice(4), chain_lattice(8)]
+    assert _derived_digest(lattices) == DERIVED_DIGESTS["universe5+presets"]
+
+
+def test_size7_derived_data_frozen(universe7, all_presets):
+    assert len(universe7) == 888
+    lattices = [*universe7, *all_presets]
+    assert _derived_digest(lattices) == DERIVED_DIGESTS["universe7+presets"]
+
+
 def test_default_labels_continue_past_z():
     assert default_labels(28, 0, 27) == ("0", *string.ascii_lowercase, "1")
     labels = default_labels(60, 0, 59)

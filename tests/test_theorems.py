@@ -238,6 +238,16 @@ def test_kernels_match_naive_twins(universe_deep, all_presets):
     assert na > 0
 
 
+def _with_cells(L, cells):
+    """A copy of L with each ``(table, x, y, value)`` cell set."""
+    C = copy.copy(L)
+    for table, x, y, v in cells:
+        rows = [list(r) for r in getattr(C, table)]
+        rows[x][y] = v
+        setattr(C, table, tuple(map(tuple, rows)))
+    return C
+
+
 def _perturbed(L, rng, tables, row=None, col=None):
     """A copy of L with one cell, in the given row and column or random
     ones, set to one new value in each of the named tables."""
@@ -245,12 +255,7 @@ def _perturbed(L, rng, tables, row=None, col=None):
     y = rng.randrange(L.n) if col is None else col
     old = getattr(L, tables[0])[x][y]
     v = rng.choice([u for u in L.elements() if u != old])
-    C = copy.copy(L)
-    for table in tables:
-        rows = [list(r) for r in getattr(L, table)]
-        rows[x][y] = v
-        setattr(C, table, tuple(map(tuple, rows)))
-    return C
+    return _with_cells(L, [(table, x, y, v) for table in tables])
 
 
 def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
@@ -297,6 +302,43 @@ def test_kernels_match_naive_twins_on_one_comaximal_cell():
         assert failing[tid] > 0, (tid, failing)
 
 
+def test_kernels_match_naive_twins_on_broken_identities(universe5):
+    # Two kernels skip work that an identity of the tables decides, and
+    # check the identity first: lemma_formulas skips the pairs of constant
+    # sequences when join[x][x] == x and join[bottom][x] == x, and
+    # lemma_comaximal decides k = 3 by k = 2 when the top row of the
+    # product table is the identity.  One cell breaking an identity must
+    # send the kernel back to its full scan.  A top-row product cell
+    # changes its meet cell with it, as in the corrupted tables above.
+    rng = random.Random(20215)
+    failing = Counter()
+    B3 = boolean_lattice(3)
+    for L in [*universe5, B3]:
+        for x in L.elements():
+            for C in (
+                _perturbed(L, rng, ("_join",), row=x, col=x),
+                _perturbed(L, rng, ("_join",), row=L.bottom, col=x),
+                _perturbed(L, rng, ("_mul", "_meet"), row=L.top, col=x),
+            ):
+                failing.update(_assert_kernels_match_naive(C))
+    assert failing["lemma_formulas"] > 0, failing
+    assert failing["lemma_comaximal"] > 0, failing
+    # With every other row intact, k = 2 decides k = 3 even on a broken
+    # top row, so these cases break row x too: with 1*x = 1, k = 2 never
+    # reads row x, while k = 3 reaches it as c1*c2 with c1 != x, and
+    # x*x = 0 is comaximal to nothing proper.  In B3, x = {2} fails with
+    # a = {0, 1} and (c1, c2, c3) = ({0, 2}, {2}, {2}).
+    triples = 0
+    top, bottom = B3.top, B3.bottom
+    for x in B3.proper_elements():
+        C = _with_cells(B3, [
+            ("_mul", top, x, top), ("_meet", top, x, top), ("_mul", x, x, bottom),
+        ])
+        _assert_kernels_match_naive(C)
+        triples += len(check_entry(C, "lemma_comaximal").witness or ()) == 4
+    assert triples > 0
+
+
 def test_unique_lift_fails_on_a_wrong_quotient_by_the_top(universe5):
     # The lift of b through a single part is (b : 1), so a wrong cell
     # (b : 1) != b must fail thm_unique_lift, with b as the witness.
@@ -319,6 +361,7 @@ def test_kernels_match_naive_twins_at_size_7(universe7):
     assert len(size7) == 723
     for L in random.Random(7).sample(size7, 60):
         assert not _assert_kernels_match_naive(L)
+        _assert_sufficiency_matches_naive(L)
 
 
 def test_direct_products_follow_their_components():
