@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import string
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -754,7 +753,7 @@ def default_labels(n: int, bottom: int, top: int) -> tuple[str, ...]:
     letters = (
         "".join(word)
         for size in itertools.count(1)
-        for word in itertools.product(string.ascii_lowercase, repeat=size)
+        for word in itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=size)
     )
     out = []
     for i in range(n):

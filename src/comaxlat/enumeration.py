@@ -51,7 +51,6 @@ are byte-identical for any worker count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -463,6 +462,9 @@ def enumerated_universe(
         for order in enumerate_bounded_lattices(n, size_cap=HARD_SIZE_CAP)
     ]
     if workers > 1 and len(orders) > 1:
+        # imported here: only a pool needs multiprocessing, a costly import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(orders))) as pool:
             per_order = list(pool.map(_mult_reps, orders))
     else:

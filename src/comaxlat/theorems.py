@@ -166,12 +166,13 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     they lie in the AND of the ``cm`` of those powers, and one pair is
     iff they meet the OR.  Part (iii) ranges the ci over ``cm[a]`` only,
     since every other tuple fails the hypothesis, and folds the product
-    from the top as ``L.mul`` does.  The first failing tail of a partial
-    product depends only on ``a``, the product so far and the number of
-    factors left, so it is found once per such triple; visiting the ci
-    in index order reports the same first failing tuple as the full
-    product over the lattice.  The quotient, join, meet and product
-    tables, the power chains and the radicals are the lattice's own.
+    from the top as ``L.mul`` does.  Visiting the ci in index order
+    reports the same first failing tuple as the full product over the
+    lattice.  The walk keeps no memo: under the identity top row the
+    k = 2 walk never meets the same partial product twice, and the k = 3
+    walk, which only other tables reach, costs at most the sum of
+    ``|cm[a]|**3`` steps.  The quotient, join, meet and product tables,
+    the power chains and the radicals are the lattice's own.
     """
     L = ctx.L
     els = L.elements()
@@ -197,23 +198,18 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
                 return True, False, (a, b)
 
     comax = [_members(row) for row in cm]
-    memo: dict[tuple[Elt, Elt, int], Optional[tuple[Elt, ...]]] = {}
 
     def failing(a: Elt, r: Elt, k: int) -> Optional[tuple[Elt, ...]]:
         """The first k-tuple cs from comax[a] with r*cs not comaximal to a."""
-        key = (a, r, k)
-        if key not in memo:
-            row, mr, found = cm[a], mul[r], None
-            for c in comax[a]:
-                if k == 1:
-                    tail = None if row >> mr[c] & 1 else ()
-                else:
-                    tail = failing(a, mr[c], k - 1)
-                if tail is not None:
-                    found = (c, *tail)
-                    break
-            memo[key] = found
-        return memo[key]
+        row, mr = cm[a], mul[r]
+        for c in comax[a]:
+            if k == 1:
+                tail = None if row >> mr[c] & 1 else ()
+            else:
+                tail = failing(a, mr[c], k - 1)
+            if tail is not None:
+                return (c, *tail)
+        return None
 
     # With the top row the identity, k = 2 passing says cm[a] is closed
     # under products, so no product of three of its members leaves it.

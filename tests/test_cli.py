@@ -1,14 +1,19 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import (
     boolean_lattice,
@@ -20,7 +25,7 @@ from comaxlat import cli
 from comaxlat.cli import main
 from comaxlat.core import LatticeSpec, mul_key
 from comaxlat.latfile import serialize_spec
-from comaxlat.presets import PRESET_NAMES, preset
+from comaxlat.presets import PRESET_NAMES, preset, preset_spec
 
 
 @pytest.fixture()
@@ -436,3 +441,97 @@ def test_console_entry_point_via_subprocess(tmp_path):
     )
     assert r.returncode == 0
     assert r.stdout == "OK L1 n=6\n"
+
+
+def test_import_loads_no_process_pool():
+    # a fresh interpreter, so no other test has loaded these modules yet
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; before = set(sys.modules); import comaxlat.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert "comaxlat.cli" in loaded
+    assert not loaded & {"multiprocessing", "concurrent.futures.process", "string"}
+
+
+MUTATIONS = (
+    "drop_key",
+    "duplicate_key",
+    "drop_element",
+    "duplicate_element",
+    "drop_leq",
+    "duplicate_leq",
+    "swap_bounds",
+    "unknown_product",
+    "truncate",
+    "number_for_string",
+)
+
+
+def _mutate(text: str, mutation: str, i: int) -> str:
+    """One mutation of a lattice file's text; ``i`` picks where it applies."""
+    if mutation == "truncate":
+        return text[: i % len(text)]
+    doc = json.loads(text)
+    if mutation == "duplicate_key":
+        key = list(doc)[i % len(doc)]
+        return f"{{{json.dumps(key)}: {json.dumps(doc[key])}, {text[1:]}"
+    if mutation == "drop_key":
+        del doc[list(doc)[i % len(doc)]]
+    elif mutation in ("drop_element", "duplicate_element", "drop_leq", "duplicate_leq"):
+        items = doc["elements" if mutation.endswith("element") else "leq"]
+        j = i % len(items)
+        if mutation.startswith("drop"):
+            del items[j]
+        else:
+            items.insert(j, items[j])
+    elif mutation == "swap_bounds":
+        doc["bottom"], doc["top"] = doc.get("top", "1"), doc.get("bottom", "0")
+    elif mutation == "unknown_product":
+        doc["mul"][sorted(doc["mul"])[i % len(doc["mul"])]] = "unknown"
+    else:  # number_for_string: any string value, by position
+        slots = [(doc, "name")]
+        slots += [(doc["elements"], j) for j in range(len(doc["elements"]))]
+        slots += [(pair, j) for pair in doc["leq"] for j in (0, 1)]
+        slots += [(doc["mul"], key) for key in doc["mul"]]
+        box, key = slots[i % len(slots)]
+        box[key] = i
+    return json.dumps(doc)
+
+
+def test_mutated_preset_files_never_raise(tmp_path):
+    path = tmp_path / "mutant.json"
+    commands = (
+        ["validate", str(path)],
+        ["classify", str(path)],
+        ["factor", str(path), "--element", "a", "--kind", "cpr"],
+        ["theorems", str(path)],
+    )
+    codes = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(
+        st.sampled_from(PRESET_NAMES),
+        st.sampled_from(MUTATIONS),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def run(name, mutation, i):
+        path.write_text(_mutate(serialize_spec(preset_spec(name)), mutation, i))
+        for argv in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, out.getvalue())
+            codes.add(code)
+
+    run()
+    # the mutants reach every exit code: some stay valid lattices, some fail
+    # validation and some fail to parse
+    assert codes == {0, 1, 2}

@@ -1,5 +1,6 @@
 """Enumeration: order generation, multiplication search, canonical forms, search."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import random
@@ -567,12 +568,12 @@ def test_workers_do_not_change_results(monkeypatch, universe5):
     # orders of sizes 1-5
     pools = []
 
-    class CountedPool(enumeration.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(enumeration, "_UNIVERSE_CACHE", {})
     par = enumerated_universe(5, workers=2)
     assert pools == [2]
@@ -600,7 +601,7 @@ def test_worker_pool_is_no_larger_than_the_order_count(monkeypatch, universe5):
             return map(fn, items)
 
     mapped = []
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(enumeration, "_UNIVERSE_CACHE", {})
     par = enumerated_universe(5, workers=5000)
     # one pool for every size, as large as the orders it maps (sizes 1-5)
