@@ -144,7 +144,7 @@ def cmd_enumerate(args) -> int:
     query = SearchQuery(
         args.size, args.predicate or None, allow_size_7=args.allow_size_7
     )
-    selected = search(query, workers=args.workers)
+    selected = search(query)
     per_size = Counter(L.n for L, _ in selected)
     for n in range(1, args.size + 1):
         print(f"size={n} lattices={per_size[n]}")
@@ -226,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", default=None)
     p.add_argument("--out", default=None, help="catalog output directory")
     p.add_argument("--allow-size-7", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("examples", help="write a built-in example lattice file")

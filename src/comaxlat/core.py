@@ -13,7 +13,7 @@ conditions that only matter for infinite lattices hold automatically
 here; ``ElementProfile.is_compact`` is the constant ``True``.
 
 A validated :class:`FiniteMultLattice` is immutable and safe to share
-across concurrent workers; all operations are pure table lookups.
+between threads; all operations are pure table lookups.
 """
 
 from __future__ import annotations

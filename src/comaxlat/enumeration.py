@@ -42,10 +42,6 @@ automorphism orbit.  The axioms are invariant under order
 automorphisms, so the representative speaks for its whole orbit, and a
 table the search got wrong raises :class:`ValidationError` there
 instead of vanishing.
-
-The per-order searches are independent, so the work may be partitioned
-across worker processes; results are merged in a fixed sorted order and
-are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -418,16 +414,6 @@ def _mult_reps(order: OrderTable) -> list[Table]:
     ]
 
 
-def _lattice(order: OrderTable, mul: Table, idx: int) -> FiniteMultLattice:
-    return FiniteMultLattice.from_tables(
-        order.up,
-        mul,
-        order.bottom,
-        order.top,
-        name=f"{order.name}_{idx}",
-    )
-
-
 def enumerate_multiplications(order: OrderTable) -> list[FiniteMultLattice]:
     """All multiplicative lattices on the given order, up to isomorphism.
 
@@ -437,7 +423,12 @@ def enumerate_multiplications(order: OrderTable) -> list[FiniteMultLattice]:
     axiom check, which raises :class:`ValidationError` for a table the
     search got wrong.
     """
-    return [_lattice(order, tab, idx) for idx, tab in enumerate(_mult_reps(order))]
+    return [
+        FiniteMultLattice.from_tables(
+            order.up, tab, order.bottom, order.top, name=f"{order.name}_{idx}"
+        )
+        for idx, tab in enumerate(_mult_reps(order))
+    ]
 
 
 # -- the universe and searches ----------------------------------------------
@@ -446,36 +437,21 @@ _UNIVERSE_CACHE: dict[int, tuple[FiniteMultLattice, ...]] = {}
 
 
 def enumerated_universe(
-    size_max: int, *, size_cap: int = DEFAULT_SIZE_CAP, workers: int = 1
+    size_max: int, *, size_cap: int = DEFAULT_SIZE_CAP
 ) -> tuple[FiniteMultLattice, ...]:
     """Every multiplicative lattice with at most ``size_max`` elements.
 
     One lattice per isomorphism class, ordered by size then canonical
-    form.  Results are cached per size and identical for any worker
-    count.  The orders of all uncached sizes share one worker pool.
+    form.  Results are cached per size.
     """
     _check_cap(size_max, size_cap)
-    sizes = [n for n in range(1, size_max + 1) if n not in _UNIVERSE_CACHE]
-    orders = [
-        order
-        for n in sizes
-        for order in enumerate_bounded_lattices(n, size_cap=HARD_SIZE_CAP)
-    ]
-    if workers > 1 and len(orders) > 1:
-        # imported here: only a pool needs multiprocessing, a costly import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(orders))) as pool:
-            per_order = list(pool.map(_mult_reps, orders))
-    else:
-        per_order = [_mult_reps(order) for order in orders]
-    found = [
-        _lattice(order, tab, idx)
-        for order, tabs in zip(orders, per_order)
-        for idx, tab in enumerate(tabs)
-    ]
-    for n in sizes:
-        _UNIVERSE_CACHE[n] = tuple(L for L in found if L.n == n)
+    for n in range(1, size_max + 1):
+        if n not in _UNIVERSE_CACHE:
+            _UNIVERSE_CACHE[n] = tuple(
+                L
+                for order in enumerate_bounded_lattices(n, size_cap=HARD_SIZE_CAP)
+                for L in enumerate_multiplications(order)
+            )
     return tuple(L for n in range(1, size_max + 1) for L in _UNIVERSE_CACHE[n])
 
 
@@ -547,9 +523,7 @@ class SearchQuery:
     allow_size_7: bool = False
 
 
-def search(
-    query: SearchQuery, *, workers: int = 1
-) -> list[tuple[FiniteMultLattice, ClassificationReport]]:
+def search(query: SearchQuery) -> list[tuple[FiniteMultLattice, ClassificationReport]]:
     """Matching lattices with their classification reports, deterministic order.
 
     At most ``query.limit`` matches are returned; a negative limit raises
@@ -560,7 +534,7 @@ def search(
     cap = HARD_SIZE_CAP if query.allow_size_7 else DEFAULT_SIZE_CAP
     pred = None if query.predicate is None else _compile_predicate(query.predicate)
     out = []
-    for L in enumerated_universe(query.size_max, size_cap=cap, workers=workers):
+    for L in enumerated_universe(query.size_max, size_cap=cap):
         if query.limit is not None and len(out) >= query.limit:
             break
         rep = classify_lattice(L)

@@ -1,4 +1,4 @@
-"""What tools/bench_pairs.py reports: quartiles and win counts."""
+"""What tools/bench_pairs.py reports: quartiles, runs and win counts."""
 
 import importlib.util
 from pathlib import Path
@@ -20,3 +20,4 @@ def test_wins_follow_the_better_direction_and_ties_count_for_neither():
         got = bench_pairs.compare(parent, change, spec)["m"]
         assert got["change_wins"] == wins and got["pairs"] == 4
         assert got["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+        assert got["runs"] == {"parent": [1, 2, 3, 4], "change": [0, 2, 4, 3]}

@@ -330,6 +330,13 @@ def test_enumerate_bad_size_or_predicate_exit_2(capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), argv
         assert captured.out == ""
+    # argparse refuses an option the CLI does not have
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--size", "3", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert main(["enumerate", "--size", "3"]) == 0
+    assert capsys.readouterr().out.endswith("total=3\n")
 
 
 def test_enumerate_catalog(tmp_path, capsys):

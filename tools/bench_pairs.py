@@ -13,10 +13,10 @@ fresh temporary working directory, so ``.bench_out/`` never lands in a
 checkout.
 
 The output JSON holds, per workload and end-to-end metric, the median
-and quartiles of each side, and in how many pairs the working tree did
-better (lower or higher, as ``BENCHMARK.json`` says), together with
-whether every run was correct and how many items failed.  Standard
-library only.
+and quartiles of each side, every run's value of each side in pair
+order, and in how many pairs the working tree did better (lower or
+higher, as ``BENCHMARK.json`` says), together with whether every run
+was correct and how many items failed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def summary(values: list[float]) -> dict[str, float]:
 
 
 def compare(parent: list[dict], change: list[dict], spec: list[dict]) -> dict:
-    """Per-metric summaries of both sides and the working tree's wins."""
+    """Per-metric summaries and runs of both sides and the working tree's wins."""
     out = {}
     for m in spec:
         name = m["name"]
@@ -88,6 +88,7 @@ def compare(parent: list[dict], change: list[dict], spec: list[dict]) -> dict:
             "better": m["better"],
             "parent": summary(p),
             "change": summary(c),
+            "runs": {"parent": p, "change": c},
             "change_wins": wins,
             "pairs": len(p),
         }
