@@ -23,7 +23,6 @@ from .enumeration import (
     DEFAULT_SIZE_CAP,
     HARD_SIZE_CAP,
     OrderTable,
-    SearchQuery,
     SizeCapExceeded,
     UnknownPredicate,
     canonical_form,
@@ -71,7 +70,6 @@ __all__ = [
     "DEFAULT_SIZE_CAP",
     "HARD_SIZE_CAP",
     "OrderTable",
-    "SearchQuery",
     "SizeCapExceeded",
     "UnknownPredicate",
     "canonical_form",

@@ -17,11 +17,11 @@ from pathlib import Path
 
 from .core import InvalidSpec, ValidationError
 from .enumeration import (
-    SearchQuery,
+    DEFAULT_SIZE_CAP,
+    HARD_SIZE_CAP,
     SizeCapExceeded,
     UnknownPredicate,
-    _universe_key,
-    canonical_form,  # unused here; perfbench/tracing.py wraps it by name
+    canonical_form,
     enumerated_universe,  # unused here; perfbench/tracing.py wraps it by name
     search,
 )
@@ -139,12 +139,9 @@ def cmd_enumerate(args) -> int:
     if args.size < 1:
         print(f"error: size must be at least 1, got {args.size}", file=sys.stderr)
         return 2
-    if args.allow_size_7 and args.size == 7:
+    if args.size_cap == HARD_SIZE_CAP and args.size == 7:
         print("warning: size-7 enumeration may take a while", file=sys.stderr)
-    query = SearchQuery(
-        args.size, args.predicate or None, allow_size_7=args.allow_size_7
-    )
-    selected = search(query)
+    selected = search(args.size, args.predicate or None, size_cap=args.size_cap)
     per_size = Counter(L.n for L, _ in selected)
     for n in range(1, args.size + 1):
         print(f"size={n} lattices={per_size[n]}")
@@ -160,7 +157,7 @@ def cmd_enumerate(args) -> int:
                 serialize_spec(L.to_spec()), encoding="utf-8"
             )
             index_lines.append(
-                f"{L.name} n={L.n} canon={_universe_key(L).hex()}"
+                f"{L.name} n={L.n} canon={canonical_form(L).hex()}"
                 f" domain={_bool(rep.is_domain)} treed={_bool(rep.is_treed)}"
                 f" dim={rep.dimension}"
                 f" cpr={_bool(rep.is_cpr_lattice)} cq={_bool(rep.is_cq_lattice)}"
@@ -225,7 +222,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--predicate", default=None)
     p.add_argument("--out", default=None, help="catalog output directory")
-    p.add_argument("--allow-size-7", action="store_true")
+    p.add_argument(
+        "--allow-size-7",
+        dest="size_cap",
+        action="store_const",
+        const=HARD_SIZE_CAP,
+        default=DEFAULT_SIZE_CAP,
+    )
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("examples", help="write a built-in example lattice file")

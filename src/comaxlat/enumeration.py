@@ -66,7 +66,6 @@ __all__ = [
     "SizeCapExceeded",
     "UnknownPredicate",
     "OrderTable",
-    "SearchQuery",
     "enumerate_bounded_lattices",
     "enumerate_multiplications",
     "enumerated_universe",
@@ -107,13 +106,12 @@ class OrderTable:
         return bool(self.up[x] >> y & 1)
 
 
-def _check_cap(n: int, size_cap: int) -> None:
+def _check_cap(n: int, cap: int) -> None:
     if n < 1:
         raise ValueError("size must be at least 1")
-    if n > min(size_cap, HARD_SIZE_CAP):
-        raise SizeCapExceeded(
-            f"size {n} exceeds the cap {min(size_cap, HARD_SIZE_CAP)}"
-        )
+    cap = min(cap, HARD_SIZE_CAP)
+    if n > cap:
+        raise SizeCapExceeded(f"size {n} exceeds the cap {cap}")
 
 
 def _encode_leq(up: tuple[int, ...], n: int) -> bytes:
@@ -205,31 +203,17 @@ def canonical_form(L: FiniteMultLattice) -> bytes:
     return bytes([n]) + _encode_leq(up, n) + mul
 
 
-def _universe_key(L: FiniteMultLattice) -> bytes:
-    """:func:`canonical_form` of a lattice from the enumerated universe.
-
-    Its order is canonical and its table is the least encoding over the
-    order's automorphisms (see :func:`_mult_reps`), so the form is read
-    off its own tables.
-    """
-    n = L.n
-    mul = bytes(itertools.chain.from_iterable(L._mul))
-    return bytes([n]) + _encode_leq(L._up, n) + mul
-
-
 # -- stage one: bounded lattice orders --------------------------------------
 
 
-def enumerate_bounded_lattices(
-    n: int, *, size_cap: int = DEFAULT_SIZE_CAP
-) -> list[OrderTable]:
+def enumerate_bounded_lattices(n: int) -> list[OrderTable]:
     """All bounded lattice orders on ``n`` elements, one per isomorphism class.
 
     Elements are produced in a canonical labeling with bottom 0 and top
     n-1, in a deterministic order.  Raises :class:`SizeCapExceeded`
-    above the cap.
+    above :data:`HARD_SIZE_CAP`.
     """
-    _check_cap(n, size_cap)
+    _check_cap(n, HARD_SIZE_CAP)
     found: dict[bytes, tuple[int, ...]] = {}
     dmask = [1]  # dmask[i]: elements <= i, including i
 
@@ -449,7 +433,7 @@ def enumerated_universe(
         if n not in _UNIVERSE_CACHE:
             _UNIVERSE_CACHE[n] = tuple(
                 L
-                for order in enumerate_bounded_lattices(n, size_cap=HARD_SIZE_CAP)
+                for order in enumerate_bounded_lattices(n)
                 for L in enumerate_multiplications(order)
             )
     return tuple(L for n in range(1, size_max + 1) for L in _UNIVERSE_CACHE[n])
@@ -510,33 +494,20 @@ def _compile_predicate(name: str) -> Callable[[ClassificationReport], bool]:
     return lambda r: all(f(r) != negate for negate, f in conj)
 
 
-@dataclass(frozen=True)
-class SearchQuery:
-    """A scan of the enumerated universe for lattices matching a predicate.
-
-    A ``None`` predicate matches every lattice.
-    """
-
-    size_max: int
-    predicate: Optional[str]
-    limit: Optional[int] = None
-    allow_size_7: bool = False
-
-
-def search(query: SearchQuery) -> list[tuple[FiniteMultLattice, ClassificationReport]]:
+def search(
+    size_max: int,
+    predicate: Optional[str] = None,
+    *,
+    size_cap: int = DEFAULT_SIZE_CAP,
+) -> list[tuple[FiniteMultLattice, ClassificationReport]]:
     """Matching lattices with their classification reports, deterministic order.
 
-    At most ``query.limit`` matches are returned; a negative limit raises
-    :class:`ValueError`.
+    A ``None`` predicate matches every lattice.  The predicate is compiled
+    first, so an unknown one is reported before a size over the cap.
     """
-    if query.limit is not None and query.limit < 0:
-        raise ValueError(f"limit must be at least 0, got {query.limit}")
-    cap = HARD_SIZE_CAP if query.allow_size_7 else DEFAULT_SIZE_CAP
-    pred = None if query.predicate is None else _compile_predicate(query.predicate)
+    pred = None if predicate is None else _compile_predicate(predicate)
     out = []
-    for L in enumerated_universe(query.size_max, size_cap=cap):
-        if query.limit is not None and len(out) >= query.limit:
-            break
+    for L in enumerated_universe(size_max, size_cap=size_cap):
         rep = classify_lattice(L)
         if pred is None or pred(rep):
             out.append((L, rep))

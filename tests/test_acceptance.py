@@ -22,7 +22,6 @@ from bruteforce import (
     radical_by_nilpotents,
 )
 from comaxlat.enumeration import (
-    SearchQuery,
     canonical_form,
     enumerate_bounded_lattices,
     enumerate_multiplications,
@@ -165,10 +164,10 @@ def test_criterion_6_separation_witnesses(universe6):
     with criterion(6, "separation witnesses at size 6"):
         nonempty = ("cpp_not_cq", "cq_not_cpp", "not_cpr", "cpr&!cq&!cpp")
         for predicate in nonempty:
-            hits = search(SearchQuery(size_max=6, predicate=predicate))
+            hits = search(6, predicate)
             assert hits, predicate
         for predicate in ("cq_not_cpr", "cpp_not_cpr"):
-            assert search(SearchQuery(size_max=6, predicate=predicate)) == []
+            assert search(6, predicate) == []
 
 
 def test_criterion_7_enumeration_regression(deep_size):

@@ -310,6 +310,13 @@ def test_enumerate_size_cap(capsys):
     assert main(["enumerate", "--size", "7"]) == 1
     assert "exceeds the cap" in capsys.readouterr().err
     assert main(["enumerate", "--size", "3", "--predicate", "bogus"]) == 2
+    capsys.readouterr()
+    # an unknown predicate is refused before a size over the cap
+    for argv in (["--size", "7"], ["--size", "8", "--allow-size-7"]):
+        assert main(["enumerate", *argv, "--predicate", "bogus"]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == "error: unknown predicate 'bogus' (atom 'bogus')\n", argv
 
 
 def test_enumerate_over_the_cap_refuses_without_a_size_7_warning(capsys):

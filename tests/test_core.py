@@ -1,6 +1,8 @@
 """Core model: validation, order/monoid operations, element predicates."""
 
 import hashlib
+import importlib
+import pkgutil
 import random
 import string
 from collections import Counter
@@ -8,6 +10,7 @@ from dataclasses import astuple
 
 import pytest
 
+import comaxlat
 from bruteforce import (
     boolean_lattice,
     chain_lattice,
@@ -589,3 +592,16 @@ def test_default_labels_continue_past_z():
     L = boolean_lattice(5)  # 32 elements: from_tables with default labels
     assert L.labels[-6:] == ("z", "aa", "ab", "ac", "ad", "1")
     assert validate_lattice(L.to_spec()).labels == L.labels
+
+
+def test_export_lists_resolve():
+    # a stale name in __all__ breaks the star import of its module
+    modules = ["comaxlat"] + [
+        f"comaxlat.{info.name}" for info in pkgutil.iter_modules(comaxlat.__path__)
+    ]
+    assert "comaxlat.enumeration" in modules
+    for name in modules:
+        module = importlib.import_module(name)
+        missing = [x for x in module.__all__ if not hasattr(module, x)]
+        assert not missing, (name, missing)
+        exec(f"from {name} import *", {})

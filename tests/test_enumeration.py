@@ -34,7 +34,6 @@ from comaxlat.core import (
 )
 from comaxlat.enumeration import (
     OrderTable,
-    SearchQuery,
     SizeCapExceeded,
     UnknownPredicate,
     canonical_form,
@@ -126,7 +125,7 @@ def _placed_labelings(monkeypatch, n: int) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_canonical_order", counted)
-        enumerate_bounded_lattices(n, size_cap=max(n, 7))
+        enumerate_bounded_lattices(n)
     return len(calls)
 
 
@@ -137,7 +136,7 @@ def test_order_stage_places_only_size_sorted_labelings(monkeypatch):
 
 def test_order_stage_agrees_with_every_linear_extension():
     for n in range(1, 8):
-        got = [o.up for o in enumerate_bounded_lattices(n, size_cap=7)]
+        got = [o.up for o in enumerate_bounded_lattices(n)]
         assert got == bounded_lattice_orders_naive(n), f"size {n}"
 
 
@@ -161,7 +160,7 @@ def _check_kernel_against_twin(orders) -> None:
 
 def test_canonical_order_matches_the_naive_twin():
     _check_kernel_against_twin(
-        [o for n in range(1, 8) for o in enumerate_bounded_lattices(n, size_cap=7)]
+        [o for n in range(1, 8) for o in enumerate_bounded_lattices(n)]
     )
     # the 10-chain, M_6 (six atoms under one top) and the 8-element Boolean
     # order: one, 720 and 6 relabelings reach the minimum
@@ -177,7 +176,7 @@ def test_size8_canonical_order_matches_the_naive_twin(request, monkeypatch):
     if not request.config.getoption("--size8"):
         pytest.skip("needs --size8")
     monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
-    _check_kernel_against_twin(enumerate_bounded_lattices(8, size_cap=8))
+    _check_kernel_against_twin(enumerate_bounded_lattices(8))
 
 
 def _check_kernel_with_the_bounds_anywhere(ups) -> None:
@@ -205,7 +204,7 @@ def _check_kernel_with_the_bounds_anywhere(ups) -> None:
 def test_canonical_order_takes_the_bounds_anywhere():
     m6 = ((1 << 8) - 1, *(1 << i | 1 << 7 for i in range(1, 7)), 1 << 7)
     _check_kernel_with_the_bounds_anywhere(
-        [o.up for n in range(1, 8) for o in enumerate_bounded_lattices(n, size_cap=7)]
+        [o.up for n in range(1, 8) for o in enumerate_bounded_lattices(n)]
         + [m6, chain_lattice(10)._up, boolean_lattice(3)._up]
     )
 
@@ -215,7 +214,7 @@ def test_size8_canonical_order_takes_the_bounds_anywhere(request, monkeypatch):
         pytest.skip("needs --size8")
     monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
     _check_kernel_with_the_bounds_anywhere(
-        [o.up for o in enumerate_bounded_lattices(8, size_cap=8)]
+        [o.up for o in enumerate_bounded_lattices(8)]
     )
 
 
@@ -237,7 +236,7 @@ def test_order_automorphisms_match_direct_search():
 def test_size7_order_automorphisms_match_direct_search(request):
     if not request.config.getoption("--size7"):
         pytest.skip("needs --size7")
-    _check_order_automorphisms(enumerate_bounded_lattices(7, size_cap=7))
+    _check_order_automorphisms(enumerate_bounded_lattices(7))
 
 
 def test_multiplication_counts_frozen():
@@ -299,7 +298,7 @@ def test_size7_search_agrees_with_naive_fill(request):
     if not request.config.getoption("--size7"):
         pytest.skip("needs --size7")
     orders = tables = 0
-    for order in enumerate_bounded_lattices(7, size_cap=7):
+    for order in enumerate_bounded_lattices(7):
         if naive_space(order) > NAIVE_SPACE_MAX:
             continue
         naive_tables = naive_multiplications(order)
@@ -347,16 +346,19 @@ def test_presets_appear_in_the_size6_universe(universe6):
 
 
 def test_size_cap():
-    with pytest.raises(SizeCapExceeded):
-        enumerate_bounded_lattices(7)
-    with pytest.raises(SizeCapExceeded):
-        enumerate_bounded_lattices(8, size_cap=7)
+    with pytest.raises(SizeCapExceeded, match="size 8 exceeds the cap 7"):
+        enumerate_bounded_lattices(8)
     with pytest.raises(ValueError):
         enumerate_bounded_lattices(0)
     with pytest.raises(SizeCapExceeded):
         enumerated_universe(7)
-    with pytest.raises(SizeCapExceeded):
-        search(SearchQuery(size_max=7, predicate="not_cpr"))
+    with pytest.raises(SizeCapExceeded, match="size 7 exceeds the cap 6"):
+        search(7, "not_cpr")
+    with pytest.raises(SizeCapExceeded, match="size 8 exceeds the cap 7"):
+        search(8, "not_cpr", size_cap=8)
+    # the predicate is compiled before the size is checked
+    with pytest.raises(UnknownPredicate):
+        search(8, "bogus", size_cap=7)
 
 
 def test_canonical_form_refuses_more_than_10_elements(monkeypatch):
@@ -372,11 +374,11 @@ def test_canonical_form_refuses_more_than_10_elements(monkeypatch):
 def test_size7_orders_behind_flag(deep_size):
     if deep_size < 6:
         pytest.skip("needs --size6")
-    assert len(enumerate_bounded_lattices(7, size_cap=7)) == 53
+    assert len(enumerate_bounded_lattices(7)) == 53
 
 
 def test_size7_counts_frozen(universe7):
-    orders = enumerate_bounded_lattices(7, size_cap=7)
+    orders = enumerate_bounded_lattices(7)
     assert len(orders) == 53
     per_order = Counter(L.name.rsplit("_", 1)[0] for L in universe7 if L.n == 7)
     assert [per_order[o.name] for o in orders] == SIZE7_MULT_COUNTS
@@ -384,7 +386,7 @@ def test_size7_counts_frozen(universe7):
 
 
 def test_size7_raw_search_output_frozen(universe7):
-    orders = enumerate_bounded_lattices(7, size_cap=7)
+    orders = enumerate_bounded_lattices(7)
     assert _raw_search_digest(orders) == RAW_SEARCH_DIGESTS[7]
 
 
@@ -392,7 +394,7 @@ def test_size8_counts_frozen(request, monkeypatch):
     if not request.config.getoption("--size8"):
         pytest.skip("needs --size8")
     monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
-    orders = enumerate_bounded_lattices(8, size_cap=8)
+    orders = enumerate_bounded_lattices(8)
     assert len(orders) == SIZE8_ORDER_COUNT
     assert _raw_search_digest(orders) == RAW_SEARCH_DIGESTS[8]
     assert [len(enumeration._mult_reps(o)) for o in orders] == SIZE8_MULT_COUNTS
@@ -404,7 +406,7 @@ def test_size8_order_stage_agrees_with_every_linear_extension(request, monkeypat
         pytest.skip("needs --size8")
     monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
     assert _placed_labelings(monkeypatch, 8) == SIZE8_PLACED_LABELINGS
-    got = [o.up for o in enumerate_bounded_lattices(8, size_cap=8)]
+    got = [o.up for o in enumerate_bounded_lattices(8)]
     assert got == bounded_lattice_orders_naive(8)
 
 
@@ -413,7 +415,7 @@ def test_size9_order_stage_frozen(request, monkeypatch):
         pytest.skip("needs --size8")
     monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 9)
     assert _placed_labelings(monkeypatch, 9) == SIZE9_PLACED_LABELINGS
-    assert len(enumerate_bounded_lattices(9, size_cap=9)) == SIZE9_ORDER_COUNT
+    assert len(enumerate_bounded_lattices(9)) == SIZE9_ORDER_COUNT
 
 
 def _check_domains_adjoin_a_bottom(universe, sizes) -> None:
@@ -510,10 +512,18 @@ def test_size7_catalog_canon_matches_fresh_canonical_form(
     _catalog_matches_fresh_canonical_forms(universe7, 7, tmp_path)
 
 
+def _own_tables(L) -> bytes:
+    # an enumerated lattice's order is canonical and its table is the least
+    # encoding over the order's automorphisms (see _mult_reps)
+    return bytes([L.n]) + enumeration._encode_leq(L._up, L.n) + bytes(
+        itertools.chain.from_iterable(L._mul)
+    )
+
+
 @pytest.mark.parametrize("universe", ["universe6", "universe7"])
-def test_universe_key_is_the_canonical_form(request, universe):
+def test_own_tables_are_the_canonical_form(request, universe):
     for L in request.getfixturevalue(universe):
-        assert enumeration._universe_key(L) == canonical_form(L), L.name
+        assert _own_tables(L) == canonical_form(L), L.name
 
 
 @pytest.mark.parametrize(
@@ -529,18 +539,18 @@ def test_canonical_forms_frozen(request, universe, digest):
     assert hashlib.sha256(forms).hexdigest() == digest
 
 
-def test_size8_universe_key_is_the_canonical_form(request, monkeypatch):
+def test_size8_own_tables_are_the_canonical_form(request, monkeypatch):
     if not request.config.getoption("--size8"):
         pytest.skip("needs --size8")
     monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
     lattices = [
         L
-        for order in enumerate_bounded_lattices(8, size_cap=8)
+        for order in enumerate_bounded_lattices(8)
         for L in enumerate_multiplications(order)
     ]
     assert len(lattices) == 4712
     for L in lattices:
-        assert enumeration._universe_key(L) == canonical_form(L), L.name
+        assert _own_tables(L) == canonical_form(L), L.name
     rng = random.Random(8)
     for L in rng.sample(lattices, 40):
         spec = L.to_spec()
@@ -549,7 +559,7 @@ def test_size8_universe_key_is_the_canonical_form(request, monkeypatch):
         relabeled = validate_lattice(
             LatticeSpec(spec.name, tuple(shuffled), spec.order_pairs, spec.mul_entries)
         )
-        key = enumeration._universe_key(L)
+        key = _own_tables(L)
         assert canonical_form(relabeled) == key, L.name
         assert canonical_form_by_all_relabelings(relabeled) == key, L.name
 
@@ -577,21 +587,21 @@ def test_universe_builds_from_an_empty_cache(monkeypatch, universe5):
 
 
 def test_search_separations(universe6):
-    hits = search(SearchQuery(size_max=6, predicate="cpp_not_cq"))
+    hits = search(6, "cpp_not_cq")
     forms = {canonical_form(L) for L, _ in hits}
     assert canonical_form(preset("L1")) in forms
 
-    hits = search(SearchQuery(size_max=6, predicate="cq_dim_ge_2"))
+    hits = search(6, "cq_dim_ge_2")
     forms = {canonical_form(L) for L, _ in hits}
     assert canonical_form(preset("E16")) in forms
 
-    assert search(SearchQuery(size_max=6, predicate="cq_not_cpr")) == []
-    assert search(SearchQuery(size_max=6, predicate="cpp_not_cpr")) == []
-    assert search(SearchQuery(size_max=6, predicate="treed_not_cpr")) == []
+    assert search(6, "cq_not_cpr") == []
+    assert search(6, "cpp_not_cpr") == []
+    assert search(6, "treed_not_cpr") == []
 
 
 def test_search_dedekind_is_exactly_the_two_chain():
-    hits = search(SearchQuery(size_max=6, predicate="dedekind"))
+    hits = search(6, "dedekind")
     assert [L.n for L, _ in hits] == [2]
 
 
@@ -601,7 +611,7 @@ def test_quotient_condition_predicates_are_unknown(capsys):
     # below rad t), so no search predicate tests it.
     for name in ("thm15_hypothesis_nontrivial", "thm15"):
         with pytest.raises(UnknownPredicate):
-            search(SearchQuery(size_max=4, predicate=name))
+            search(4, name)
         assert main(["enumerate", "--size", "3", "--predicate", name]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
@@ -611,26 +621,21 @@ def test_quotient_condition_predicates_are_unknown(capsys):
 
 
 def test_search_custom_conjunctions():
-    hits = search(SearchQuery(size_max=5, predicate="cpr&!cq&!cpp"))
+    hits = search(5, "cpr&!cq&!cpp")
     assert hits
     for _, rep in hits:
         assert rep.is_cpr_lattice and not rep.is_cq_lattice
         assert not rep.is_cpp_lattice
-    hits = search(SearchQuery(size_max=5, predicate="domain&dim=1"))
+    hits = search(5, "domain&dim=1")
     for _, rep in hits:
         assert rep.is_domain and rep.dimension == 1
 
 
-def test_search_limit_and_unknown_predicate():
-    hits = search(SearchQuery(size_max=5, predicate="cq_not_cpp", limit=3))
-    assert len(hits) == 3
-    assert search(SearchQuery(size_max=4, predicate=None, limit=0)) == []
-    with pytest.raises(ValueError, match="limit"):
-        search(SearchQuery(size_max=4, predicate=None, limit=-3))
+def test_search_unknown_predicate():
     with pytest.raises(UnknownPredicate):
-        search(SearchQuery(size_max=4, predicate="frobnicated"))
+        search(4, "frobnicated")
     with pytest.raises(UnknownPredicate):
-        search(SearchQuery(size_max=4, predicate="cpr&bogus"))
+        search(4, "cpr&bogus")
 
 
 # -- canonical forms -----------------------------------------------------------

@@ -13,6 +13,7 @@ from bruteforce import (
     boolean_lattice,
     comaximal_subsets_naive,
     factor_kinds_naive,
+    larger_lattices,
     lemma_comaximal_naive,
     lemma_formulas_naive,
     oracle_factorizations_naive,
@@ -409,6 +410,25 @@ def test_domains_have_no_proper_nonzero_join_principal_element(
 ):
     for L in _domains([*universe_deep, *all_presets], min_size=3):
         assert set(L.join_principal_elements()) <= {L.bottom, L.top}, L.name
+
+
+# Checkers whose docstrings prove the hypotheses hold on no finite lattice,
+# or on the 2-chain only; a lattice that triggers one means a wrong proof or
+# a wrong checker.
+NEVER_APPLICABLE = ("cor_cq_dimension", "thm_cq_generators")
+TWO_CHAIN_ONLY = ("lemma_prime_principal", "thm_dedekind", "dedekind_dim1")
+
+
+def test_vacuous_hypotheses_hold_on_the_two_chain_only(universe_deep, all_presets):
+    applicable = set()
+    for L in [*universe_deep, *all_presets, *larger_lattices()]:
+        for G in ("all", "principal", L.join_irreducibles()):
+            for tid in NEVER_APPLICABLE + TWO_CHAIN_ONLY:
+                if check_entry(L, tid, G).hypotheses_hold:
+                    assert tid in TWO_CHAIN_ONLY and L.n == 2, (L.name, tid, G)
+                    applicable.add(tid)
+    # the 2-chain is in the universe and meets all three
+    assert applicable == set(TWO_CHAIN_ONLY)
 
 
 # Per-checker (pass, fail, not-applicable) tally over the 723 size-7
