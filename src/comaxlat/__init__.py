@@ -15,6 +15,8 @@ from .core import (
     LatticeError,
     LatticeProfile,
     LatticeSpec,
+    MAX_ELEMENTS,
+    SizeCapExceeded,
     ValidationError,
     Violation,
     validate_lattice,
@@ -23,7 +25,6 @@ from .enumeration import (
     DEFAULT_SIZE_CAP,
     HARD_SIZE_CAP,
     OrderTable,
-    SizeCapExceeded,
     UnknownPredicate,
     canonical_form,
     enumerate_bounded_lattices,
@@ -64,6 +65,7 @@ __all__ = [
     "LatticeError",
     "LatticeProfile",
     "LatticeSpec",
+    "MAX_ELEMENTS",
     "ValidationError",
     "Violation",
     "validate_lattice",

@@ -25,10 +25,17 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Elt = int  # index of an element within its parent lattice
 
+# The largest lattice the package builds.  Every element index then fits
+# in a byte, so the construction kernels compare whole table rows with
+# ``bytes.translate``; the cost of building a lattice is cubic in n.
+MAX_ELEMENTS = 256
+
 __all__ = [
     "Elt",
     "LatticeError",
     "InvalidSpec",
+    "MAX_ELEMENTS",
+    "SizeCapExceeded",
     "Violation",
     "ValidationError",
     "LatticeSpec",
@@ -46,6 +53,16 @@ class LatticeError(Exception):
 
 class InvalidSpec(LatticeError):
     """The input description is malformed (bad labels, duplicates, ...)."""
+
+
+class SizeCapExceeded(LatticeError):
+    """Requested size is above the configured cap."""
+
+
+def _check_elements(n: int) -> None:
+    """Refuse a lattice of more than :data:`MAX_ELEMENTS` elements."""
+    if n > MAX_ELEMENTS:
+        raise SizeCapExceeded(f"size {n} exceeds the element cap {MAX_ELEMENTS}")
 
 
 @dataclass(frozen=True)
@@ -162,6 +179,20 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _maps(table: Iterable[Sequence[int]]) -> tuple[bytes, ...]:
+    """The rows of ``table`` as ``bytes.translate`` tables.
+
+    Each row becomes bytes padded with zeros to the 256 entries a table
+    needs, so ``row.translate(maps[x])`` maps every entry ``v`` of a byte
+    row to ``table[x][v]``.  A row of n bytes translates several times
+    faster than a padded one, so the kernels keep rows unpadded and pad,
+    with the same ``ljust``, only the rows they use as tables.  Nothing
+    keeps padded rows: at 256 bytes a row they would add kilobytes to
+    every small lattice and order.
+    """
+    return tuple([bytes(row).ljust(256, b"\0") for row in table])
+
+
 def _closure(up: list[int], n: int) -> None:
     """Reflexive-transitive closure of up-set masks, in place."""
     for i in range(n):
@@ -196,7 +227,9 @@ class _Order(NamedTuple):
     row-major index order.  ``covers[x]`` lists the lower covers of ``x``
     in index order; ``jirr`` masks the join-irreducibles, the elements
     with exactly one.  ``descending`` is a reverse linear extension: every
-    element comes before all elements strictly below it.
+    element comes before all elements strictly below it.  ``join_rows``
+    and ``meet_rows`` hold the rows of ``join`` and ``meet`` as bytes, or
+    ``None`` with them.
     """
 
     join: Optional[tuple[tuple[int, ...], ...]]
@@ -206,6 +239,8 @@ class _Order(NamedTuple):
     covers: tuple[tuple[int, ...], ...]
     jirr: int
     descending: tuple[int, ...]
+    join_rows: Optional[tuple[bytes, ...]]
+    meet_rows: Optional[tuple[bytes, ...]]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -232,11 +267,16 @@ def _order_facts(up: tuple[int, ...]) -> _Order:
             lu = _extremum(up[i] & up[j], up)
             gl = _extremum(down[i] & down[j], down)
             if lu is None or gl is None:
-                return _Order(None, None, (i, j), down, covers, jirr, descending)
+                return _Order(
+                    None, None, (i, j), down, covers, jirr, descending, None, None
+                )
             join[i][j] = join[j][i] = lu
             meet[i][j] = meet[j][i] = gl
     join_t, meet_t = tuple(map(tuple, join)), tuple(map(tuple, meet))
-    return _Order(join_t, meet_t, None, down, covers, jirr, descending)
+    join_rows, meet_rows = tuple(map(bytes, join)), tuple(map(bytes, meet))
+    return _Order(
+        join_t, meet_t, None, down, covers, jirr, descending, join_rows, meet_rows
+    )
 
 
 def _first_nonassociative(
@@ -273,16 +313,33 @@ def _first_nondistributive(
 
 def multiplication_violations(
     labels: tuple[str, ...],
-    join: tuple[tuple[int, ...], ...],
-    mul: list[list[int]],
+    order: _Order,
+    mul: Sequence[Sequence[int]],
     bottom: int,
     top: int,
 ) -> list[Violation]:
-    """Scan a full multiplication table against the monoid axioms.
+    """Check a full multiplication table against the monoid axioms.
 
-    Reports at most one violation per axiom, with the first witness in
-    index order.  The order axioms (closure, bounds, joins/meets) must
-    already hold.
+    ``order`` is the :class:`_Order` of a lattice (closure, bounds,
+    joins and meets already hold).  Reports at most one violation per
+    axiom, with the first witness in index order.
+
+    Once the product is commutative, with the top as identity and the
+    bottom as zero, both laws are decided a whole row at a time:
+
+    - distributivity by ``x*(a v j) == x*a v x*j`` over all ``a``, for
+      ``x`` not a bound and ``j`` join-irreducible.  Every ``b != 0`` is
+      the join of the join-irreducibles below it and ``x*0 = 0``, so by
+      induction on the joinands ``x*(a v b) == x*a v x*b`` for every
+      ``b``; with ``x`` a bound the law is the identity or zero law.
+    - then associativity by ``(x*y)*z == x*(y*z)`` over all ``z``, for
+      join-irreducibles ``x`` and ``y`` other than the top.  A product
+      that distributes over joins in both arguments is associative when
+      it is so on join-irreducibles, and the top is the identity.
+
+    Where a row check fails, or an earlier axiom already did, the
+    index-order scans run for that law as they always did, so every
+    reported witness is the first in index order.
     """
     n = len(labels)
     out: list[Violation] = []
@@ -305,12 +362,30 @@ def multiplication_violations(
     everything = range(n)
     inner = everything if out else [x for x in everything if x not in (bottom, top)]
     nonzero = everything if out else [x for x in everything if x != bottom]
-    assoc = _first_nonassociative(mul, inner)
-    if assoc is not None:
-        out.append(Violation("NotAssociative", tuple(labels[i] for i in assoc)))
-    dist = _first_nondistributive(mul, join, inner, nonzero)
-    if dist is not None:
-        out.append(Violation("NotDistributive", tuple(labels[i] for i in dist)))
+    distributes = associates = False
+    if not out:
+        rows = tuple(map(bytes, mul))
+        maps = _maps(rows)
+        join_rows = order.join_rows
+        join_maps = _maps(join_rows)
+        jirr = _members(order.jirr)
+        distributes = all(
+            join_rows[j].translate(maps[x]) == rows[x].translate(join_maps[mul[x][j]])
+            for x in inner
+            for j in jirr
+        )
+        gens = [x for x in jirr if x != top]
+        associates = distributes and all(
+            rows[mul[x][y]] == rows[y].translate(maps[x]) for x in gens for y in gens
+        )
+    if not associates:
+        assoc = _first_nonassociative(mul, inner)
+        if assoc is not None:
+            out.append(Violation("NotAssociative", tuple(labels[i] for i in assoc)))
+    if not distributes:
+        dist = _first_nondistributive(mul, order.join, inner, nonzero)
+        if dist is not None:
+            out.append(Violation("NotDistributive", tuple(labels[i] for i in dist)))
     return out
 
 
@@ -320,8 +395,8 @@ class FiniteMultLattice:
     Elements are the indices ``0 .. n-1`` into ``labels``; all derived
     data (join/meet/product/quotient tables, the spectrum, radicals,
     power chains, element predicates) is precomputed at construction,
-    except principality, which is scanned when asked; the lattice profile
-    scans the join-irreducibles for it, up to the first not principal.
+    except principality, which is checked when asked; the lattice profile
+    checks the join-irreducibles for it, up to the first not principal.
     Set-valued results are returned as tuples sorted by element index.
 
     Construct through :meth:`from_tables`, which checks every axiom
@@ -352,7 +427,6 @@ class FiniteMultLattice:
         self._join = order.join
         self._meet = order.meet
         self._mul = mul
-        self._index = {lab: i for i, lab in enumerate(labels)}
         self._build_caches()
 
     # -- construction -------------------------------------------------
@@ -373,9 +447,11 @@ class FiniteMultLattice:
         closure is taken.  ``mul`` is the symmetric product table.  A
         ``None`` cell with the bottom or top is filled in as the axioms
         force; any other ``None`` cell is reported as ``MissingProduct``,
-        after the order checks.
+        after the order checks.  Raises :class:`SizeCapExceeded` above
+        :data:`MAX_ELEMENTS` elements.
         """
         n = len(up)
+        _check_elements(n)
         if labels is None:
             labels = default_labels(n, bottom, top)
         if bottom == top:
@@ -397,21 +473,20 @@ class FiniteMultLattice:
             for y, v in ((top, x), (bottom, bottom)):
                 if table[x][y] is None:
                     table[x][y] = table[y][x] = v
-        missing = [
-            Violation("MissingProduct", mul_key(labels[i], labels[j]))
-            for i, j in itertools.combinations_with_replacement(range(n), 2)
-            if table[i][j] is None
-        ]
-        if missing:
-            raise ValidationError(missing)
-        viols = multiplication_violations(labels, order.join, table, bottom, top)
+        if any(None in row for row in table):
+            raise ValidationError(
+                Violation("MissingProduct", mul_key(labels[i], labels[j]))
+                for i, j in itertools.combinations_with_replacement(range(n), 2)
+                if table[i][j] is None
+            )
+        viols = multiplication_violations(labels, order, table, bottom, top)
         if viols:
             raise ValidationError(viols)
         mul = tuple(map(tuple, table))
         return cls(name, labels, up, mul, bottom, top)
 
     def _build_caches(self) -> None:
-        # A lattice has 23 instance attributes.  Keep fewer than 30: from 30
+        # A lattice has 22 instance attributes.  Keep fewer than 30: from 30
         # on, CPython 3.11 stops sharing instance-dict keys between lattices,
         # and every attribute lookup in the methods below gets about 1.5x
         # slower.
@@ -425,24 +500,30 @@ class FiniteMultLattice:
         # quotient table: quot[y][x] = largest a with a*x <= y.  The a with
         # a*x <= y form a down-set closed under joins (the product is
         # monotone and distributes over joins), so its greatest element is
-        # the first of them in a reverse linear extension.  fixed[y] masks
-        # the x with (y : x) = y.
+        # the first of them in a reverse linear extension.  So one walk of
+        # it per x fills column x: a goes to every y above a*x not yet
+        # filled.  fixed[y] masks the x with (y : x) = y.
         descending = self._order.descending
-        quot = []
-        fixed = []
-        for y, dy in enumerate(down):
-            row = []
-            fix = 0
-            for x, mx in enumerate(mul):
-                for a in descending:
-                    if dy >> mx[a] & 1:
+        full = (1 << n) - 1
+        cols = []
+        fixed = [0] * n
+        for x, mx in enumerate(mul):
+            col = bytearray(n)
+            empty = full
+            for a in descending:
+                new = up[mx[a]] & empty
+                if new:
+                    empty ^= new
+                    if new >> a & 1:
+                        fixed[a] |= 1 << x
+                    while new:
+                        low = new & -new
+                        col[low.bit_length() - 1] = a
+                        new ^= low
+                    if not empty:
                         break
-                row.append(a)
-                if a == y:
-                    fix |= 1 << x
-            quot.append(tuple(row))
-            fixed.append(fix)
-        self._quot = tuple(quot)
+            cols.append(col)
+        self._quot = tuple(zip(*cols))
 
         # power chains: x, x^2, ... are decreasing in a finite lattice,
         # so the chain stabilizes; keep the distinct prefix.
@@ -460,7 +541,6 @@ class FiniteMultLattice:
         # (e : x) lies above e, as e*x <= e, and "a*x <= e forces a <= e"
         # says (e : x) <= e.  So p is prime iff the quotient fixes p off
         # down[p], and q is primary iff it fixes q off down[rad q].
-        full = (1 << n) - 1
         self._primes = tuple(
             p for p in range(n) if p != top and not full & ~down[p] & ~fixed[p]
         )
@@ -523,37 +603,37 @@ class FiniteMultLattice:
             generated_by_principal=all(map(self._principal, self.join_irreducibles())),
         )
 
-    # -- predicate scans ----------------------------------------------
-    # Run when asked.  Over every b they decide the strong notions; the
-    # weak ones are the same identities at b = 1 (meet) and b = 0 (join).
+    # -- principality -------------------------------------------------
+    # Checked when asked, one row over b per a.  The weak notions are the
+    # same identities at b = 1 (meet) and b = 0 (join), one row over a
+    # (see element_profile).  Rows are padded as _maps pads them, as they
+    # are used: a check that fails early pads few.
 
-    def _mp_scan(self, m: int, bs: Sequence[int]) -> bool:
-        # a /\ b*m == ((a:m) /\ b) * m for all a and every b in bs
-        meet, quot = self._meet, self._quot
-        colm = self._mul[m]
+    def _meet_principal(self, m: int) -> bool:
+        # a /\ b*m == ((a:m) /\ b) * m for all a and b
+        meet, quot = self._order.meet_rows, self._quot
+        row = bytes(self._mul[m])
+        mul_m = row.ljust(256, b"\0")
         for a, meet_a in enumerate(meet):
-            meet_q = meet[quot[a][m]]
-            for b in bs:
-                if meet_a[colm[b]] != colm[meet_q[b]]:
-                    return False
+            table = meet_a.ljust(256, b"\0")
+            if row.translate(table) != meet[quot[a][m]].translate(mul_m):
+                return False
         return True
 
-    def _jp_scan(self, j: int, bs: Sequence[int]) -> bool:
-        # ((a*j \/ b) : j) == a \/ (b:j) for all a and every b in bs
-        join = self._join
-        colj = self._mul[j]
-        qj = [row[j] for row in self._quot]  # qj[y] = (y : j)
-        for a, join_a in enumerate(join):
-            join_aj = join[colj[a]]
-            for b in bs:
-                if qj[join_aj[b]] != join_a[qj[b]]:
-                    return False
+    def _join_principal(self, j: int) -> bool:
+        # ((a*j \/ b) : j) == a \/ (b:j) for all a and b
+        join = self._order.join_rows
+        row = bytes([q[j] for q in self._quot])  # row[y] = (y : j)
+        quot_j = row.ljust(256, b"\0")
+        for aj, join_a in zip(self._mul[j], join):
+            table = join_a.ljust(256, b"\0")
+            if join[aj].translate(quot_j) != row.translate(table):
+                return False
         return True
 
     def _principal(self, x: Elt) -> bool:
         """Whether ``x`` is meet- and join-principal."""
-        every = range(self.n)
-        return self._jp_scan(x, every) and self._mp_scan(x, every)
+        return self._join_principal(x) and self._meet_principal(x)
 
     # -- basic order and monoid operations -----------------------------
 
@@ -658,8 +738,7 @@ class FiniteMultLattice:
         return tuple(filter(self._principal, range(self.n)))
 
     def join_principal_elements(self) -> tuple[Elt, ...]:
-        every = range(self.n)
-        return tuple(j for j in every if self._jp_scan(j, every))
+        return tuple(filter(self._join_principal, range(self.n)))
 
     def join_irreducibles(self) -> tuple[Elt, ...]:
         """Elements with exactly one lower cover."""
@@ -679,9 +758,11 @@ class FiniteMultLattice:
 
     def element_profile(self, x: Elt) -> ElementProfile:
         witness = self._prime_power[x]
-        every = range(self.n)
-        mp = self._mp_scan(x, every)
-        jp = self._jp_scan(x, every)
+        mp = self._meet_principal(x)
+        jp = self._join_principal(x)
+        order = self._order
+        mul_x = bytes(self._mul[x])
+        quot_x = bytes([row[x] for row in self._quot])  # quot_x[a] = (a : x)
         return ElementProfile(
             is_proper=x != self.top,
             is_prime=bool(self._prime_mask >> x & 1),
@@ -692,9 +773,12 @@ class FiniteMultLattice:
             prime_power_witness=witness,
             is_compact=True,
             is_meet_principal=mp,
-            is_weak_meet_principal=self._mp_scan(x, (self.top,)),
+            # a /\ x == (a:x) * x, and (a*x : x) == a \/ (0:x), for all a
+            is_weak_meet_principal=order.meet_rows[x]
+            == quot_x.translate(mul_x.ljust(256, b"\0")),
             is_join_principal=jp,
-            is_weak_join_principal=self._jp_scan(x, (self.bottom,)),
+            is_weak_join_principal=mul_x.translate(quot_x.ljust(256, b"\0"))
+            == order.join_rows[quot_x[self.bottom]],
             is_principal=mp and jp,
         )
 
@@ -708,8 +792,8 @@ class FiniteMultLattice:
 
     def index(self, label: str) -> Elt:
         try:
-            return self._index[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise KeyError(f"no element labelled {label!r}") from None
 
     def elements(self) -> range:
@@ -770,16 +854,14 @@ def _order_violations(
     up: tuple[int, ...], n: int, bottom: int, top: int, labels: tuple[str, ...]
 ) -> list[Violation]:
     full = (1 << n) - 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if up[i] >> j & 1 and up[j] >> i & 1:
-                return [
-                    Violation(
-                        "NotAPartialOrder",
-                        (labels[i], labels[j]),
-                        "order cycle",
-                    )
-                ]
+    # in a closed relation, i <= j <= i exactly when up[i] == up[j]: the
+    # scan for the first cycle runs only when two up-sets coincide
+    if len(set(up)) < n:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if up[i] >> j & 1 and up[j] >> i & 1:
+                    pair = (labels[i], labels[j])
+                    return [Violation("NotAPartialOrder", pair, "order cycle")]
     out = []
     if up[bottom] != full:
         bad = next(j for j in range(n) if not up[bottom] >> j & 1)
@@ -822,21 +904,19 @@ def validate_lattice(spec: LatticeSpec) -> FiniteMultLattice:
     for lab in (spec.bottom, spec.top):
         if lab not in index:
             raise InvalidSpec(f"designated bound {lab!r} is not an element")
+    up = [0] * n
     for x, y in spec.order_pairs:
         if x not in index or y not in index:
             raise InvalidSpec(f"order pair ({x!r}, {y!r}) uses unknown labels")
-    for (x, y), v in spec.mul_entries.items():
-        if x not in index or y not in index or v not in index:
-            raise InvalidSpec(f"product entry {x!r}*{y!r}={v!r} uses unknown labels")
-        if mul_key(x, y) != (x, y):
-            raise InvalidSpec(f"product key ({x!r}, {y!r}) is not normalized")
-
-    up = [0] * n
-    for x, y in spec.order_pairs:
         up[index[x]] |= 1 << index[y]
     mul: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
     for (x, y), v in spec.mul_entries.items():
-        mul[index[x]][index[y]] = mul[index[y]][index[x]] = index[v]
+        if x not in index or y not in index or v not in index:
+            raise InvalidSpec(f"product entry {x!r}*{y!r}={v!r} uses unknown labels")
+        if x > y:
+            raise InvalidSpec(f"product key ({x!r}, {y!r}) is not normalized")
+        i, j = index[x], index[y]
+        mul[i][j] = mul[j][i] = index[v]
     bottom, top = index[spec.bottom], index[spec.top]
     return FiniteMultLattice.from_tables(
         tuple(up), mul, bottom, top, labels=labels, name=spec.name

@@ -54,6 +54,7 @@ from .core import (
     Elt,
     FiniteMultLattice,
     LatticeError,
+    SizeCapExceeded,
     _members,
     _order_facts,
     multiplication_violations,  # unused here; perfbench/tracing.py wraps it by name
@@ -80,10 +81,6 @@ HARD_SIZE_CAP = 7
 _CANONICAL_FORM_MAX = 10
 
 Table = tuple[tuple[int, ...], ...]
-
-
-class SizeCapExceeded(LatticeError):
-    """Requested size is above the configured cap."""
 
 
 class UnknownPredicate(LatticeError):

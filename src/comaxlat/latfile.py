@@ -7,7 +7,9 @@ elements).  ``leq`` lists pairs ``[x, y]`` meaning ``x <= y``; any
 relation whose closure is intended is accepted, covers suffice.
 ``mul`` maps ``"x y"`` (two labels joined by one space, order
 insensitive) to a product label; pairs involving the bottom or top may
-be omitted.
+be omitted.  A file lists at most ``MAX_ELEMENTS`` elements; a longer
+``elements`` array raises ``SizeCapExceeded`` before ``leq`` and
+``mul`` are read.
 
 Serialization is canonical: fixed key order, covering pairs and product
 keys sorted by element index, two-space indentation, trailing newline —
@@ -25,7 +27,14 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Union
 
-from .core import FiniteMultLattice, LatticeError, LatticeSpec, mul_key, validate_lattice
+from .core import (
+    FiniteMultLattice,
+    LatticeError,
+    LatticeSpec,
+    _check_elements,
+    mul_key,
+    validate_lattice,
+)
 
 __all__ = ["ParseError", "parse_lattice_file", "serialize_spec", "load_lattice"]
 
@@ -72,8 +81,9 @@ def parse_lattice_file(text: str) -> LatticeSpec:
         isinstance(e, str) for e in elements
     ):
         raise ParseError("elements must be an array of strings")
+    _check_elements(len(elements))  # before any table is read
     for e in elements:
-        if not e or any(c.isspace() for c in e):
+        if e.split() != [e]:  # empty, or holding whitespace
             raise ParseError(f"bad element label {e!r}")
     if len(set(elements)) != len(elements):
         raise ParseError("element labels must be distinct")
@@ -90,15 +100,14 @@ def parse_lattice_file(text: str) -> LatticeSpec:
         raise ParseError("leq must be an array of pairs")
     pairs = []
     for item in raw_leq:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, str) for x in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2:
             raise ParseError(f"bad leq pair {item!r}")
-        if item[0] not in known or item[1] not in known:
+        x, y = item
+        if not isinstance(x, str) or not isinstance(y, str):
+            raise ParseError(f"bad leq pair {item!r}")
+        if x not in known or y not in known:
             raise ParseError(f"leq pair {item!r} uses unknown labels")
-        pairs.append((item[0], item[1]))
+        pairs.append((x, y))
 
     raw_mul = doc["mul"]
     if not isinstance(raw_mul, dict):
@@ -114,11 +123,10 @@ def parse_lattice_file(text: str) -> LatticeSpec:
         if not isinstance(value, str) or value not in known:
             raise ParseError(f"product value {value!r} is not an element")
         norm = mul_key(x, y)
-        if norm in entries and entries[norm] != value:
+        if entries.setdefault(norm, value) != value:
             raise ParseError(
                 f"conflicting products for {norm[0]!r} and {norm[1]!r}"
             )
-        entries[norm] = value
 
     return LatticeSpec(
         name=name,

@@ -500,7 +500,7 @@ def _cor_cq_dimension(ctx: _Ctx) -> _Result:
     hyp = (
         ctx.profile.is_domain
         and L.n > 2
-        and all(L._jp_scan(j, L.elements()) for j in L.join_irreducibles())
+        and all(L._join_principal(j) for j in L.join_irreducibles())
     )
     if not hyp:
         return False, None, None

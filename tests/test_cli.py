@@ -23,8 +23,8 @@ from bruteforce import (
 )
 from comaxlat import cli
 from comaxlat.cli import main
-from comaxlat.core import LatticeSpec, mul_key
-from comaxlat.latfile import serialize_spec
+from comaxlat.core import MAX_ELEMENTS, LatticeSpec, SizeCapExceeded, mul_key
+from comaxlat.latfile import parse_lattice_file, serialize_spec
 from comaxlat.presets import PRESET_NAMES, preset, preset_spec
 
 
@@ -317,6 +317,27 @@ def test_enumerate_size_cap(capsys):
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err == "error: unknown predicate 'bogus' (atom 'bogus')\n", argv
+
+
+def test_file_past_the_element_cap_is_refused(capsys, tmp_path):
+    # one element past the cap, a chain order and no products: refused
+    # while the elements array is read, before any table is built
+    labels = ["0", *(f"e{i}" for i in range(MAX_ELEMENTS - 1)), "1"]
+    doc = {
+        "name": "big",
+        "elements": labels,
+        "leq": [list(pair) for pair in zip(labels, labels[1:])],
+        "mul": {},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SizeCapExceeded):
+        parse_lattice_file(path.read_text(encoding="utf-8"))
+    for argv in (["validate"], ["classify"], ["theorems"]):
+        assert main([*argv, str(path)]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == "error: size 257 exceeds the element cap 256\n", argv
 
 
 def test_enumerate_over_the_cap_refuses_without_a_size_7_warning(capsys):

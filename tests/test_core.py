@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import itertools
 import pkgutil
 import random
 import string
@@ -20,21 +21,26 @@ from bruteforce import (
     join_principal_naive,
     larger_lattices,
     meet_principal_naive,
+    product_lattice,
     quotient_table_naive,
     weak_join_principal_naive,
     weak_meet_principal_naive,
 )
 from comaxlat.core import (
+    MAX_ELEMENTS,
     FiniteMultLattice,
     InvalidSpec,
     LatticeSpec,
+    SizeCapExceeded,
     ValidationError,
+    Violation,
     _order_facts,
     default_labels,
     mul_key,
     multiplication_violations,
     validate_lattice,
 )
+from comaxlat.enumeration import enumerate_bounded_lattices
 from comaxlat.presets import preset, preset_spec
 from comaxlat.theorems import check_entry
 
@@ -81,25 +87,51 @@ def test_mutated_l1_fails_associativity_or_distributivity():
     assert all(len(v.witness) == 3 for v in exc.value.violations)
 
 
+def _few_join_irreducibles(universe5):
+    """Four products of 8 to 20 elements with few join-irreducibles: a
+    product has those of its factors only, and the square and the
+    diamonds of the universe have two and three."""
+    by_shape = {}
+    for L in universe5:
+        by_shape.setdefault((L.n, len(L.join_irreducibles())), []).append(L)
+    square, diamonds = by_shape[4, 2][0], by_shape[5, 3]
+    return [
+        product_lattice(square, chain_lattice(2)),
+        product_lattice(diamonds[0], chain_lattice(3)),
+        product_lattice(diamonds[1], square),
+        product_lattice(by_shape[4, 3][0], square),
+    ]
+
+
 def test_axiom_witnesses_match_naive_scan(universe5):
-    # one perturbed product cell per table: the first associativity and
-    # distributivity witnesses, in index order, must match a plain scan.
-    # The same change made to both symmetric cells keeps the product
-    # commutative, so the scans that skip the bounds are compared too.
+    # perturbed product cells: the first associativity and distributivity
+    # witnesses, in index order, must match a plain scan.  The same change
+    # made to both symmetric cells keeps the product commutative, so the
+    # row checks on join-irreducibles decide first; past the universe a
+    # cell of two proper elements that are not join-irreducible changes
+    # too, where the lattice has such elements.
     rng = random.Random(7)
     failing = Counter()
-    for L in universe5:
-        for _ in range(4):
-            x, y = rng.randrange(L.n), rng.randrange(L.n)
+    beyond = [*larger_lattices(), *_few_join_irreducibles(universe5)]
+    assert all(8 <= L.n for L in beyond)
+    for L in [*universe5, *beyond]:
+        cells = [(rng.randrange(L.n), rng.randrange(L.n)) for _ in range(4)]
+        reducible = [
+            x for x in L.elements()
+            if x not in L.join_irreducibles() and x not in (L.bottom, L.top)
+        ]
+        if L.n > 5 and reducible:
+            cells.append((rng.choice(reducible), rng.choice(reducible)))
+        for x, y in cells:
             new = rng.choice([v for v in L.elements() if v != L._mul[x][y]])
-            for cells, kind in (([(x, y)], ""), ([(x, y), (y, x)], " (symmetric)")):
+            for changed, kind in (([(x, y)], ""), ([(x, y), (y, x)], " (symmetric)")):
                 mul = [list(row) for row in L._mul]
-                for i, j in cells:
+                for i, j in changed:
                     mul[i][j] = new
                 found = {
                     v.code: v.witness
                     for v in multiplication_violations(
-                        L.labels, L._join, mul, L.bottom, L.top
+                        L.labels, L._order, mul, L.bottom, L.top
                     )
                 }
                 for code, first in zip(
@@ -108,9 +140,65 @@ def test_axiom_witnesses_match_naive_scan(universe5):
                 ):
                     expect = None if first is None else tuple(L.labels[i] for i in first)
                     assert found.get(code) == expect, (L.name, code)
-                    failing[code + kind] += first is not None
-    assert all(failing[code + kind] > 0 for code in ("NotAssociative", "NotDistributive")
-               for kind in ("", " (symmetric)")), failing
+                    where = " beyond" if L.n > 5 else ""
+                    failing[code + kind + where] += first is not None
+    assert all(
+        failing[code + kind + where] > 0
+        for code in ("NotAssociative", "NotDistributive")
+        for kind in ("", " (symmetric)")
+        for where in ("", " beyond")
+    ), failing
+
+
+def _distributive_nonassociative(n):
+    """Every table on an order of n elements, with its order, that is
+    commutative with the top as identity and the bottom as zero, lies
+    below the meet and distributes over joins, but is not associative."""
+    cells = list(itertools.combinations_with_replacement(range(1, n - 1), 2))
+    triples = list(itertools.product(range(n), repeat=3))
+    for order in enumerate_bounded_lattices(n):
+        join, meet, B, T = order.join, order.meet, order.bottom, order.top
+        below = [[v for v in range(n) if order.leq(v, meet[x][y])] for x, y in cells]
+        for values in itertools.product(*below):
+            mul = [[B] * n for _ in range(n)]
+            for x in range(n):
+                mul[x][T] = mul[T][x] = x
+            for (x, y), v in zip(cells, values):
+                mul[x][y] = mul[y][x] = v
+            distributes = all(
+                mul[x][join[a][b]] == join[mul[x][a]][mul[x][b]] for x, a, b in triples
+            )
+            if distributes and any(
+                mul[mul[x][y]][z] != mul[x][mul[y][z]] for x, y, z in triples
+            ):
+                yield order, mul
+
+
+def test_nonassociative_witness_under_every_relabeling():
+    # distributive tables that fail associativity only: the row check on
+    # pairs of join-irreducibles decides, and relabeling the proper
+    # elements moves the pairs it must catch to every place in index order
+    seen = 0
+    for order, mul in itertools.chain(
+        _distributive_nonassociative(4), _distributive_nonassociative(5)
+    ):
+        n = order.n
+        labels = default_labels(n, 0, n - 1)
+        for inner in itertools.permutations(range(1, n - 1)):
+            p = (0, *inner, n - 1)  # p[i] is the new index of element i
+            up = [0] * n
+            table = [[0] * n for _ in range(n)]
+            for i in range(n):
+                up[p[i]] = sum(1 << p[j] for j in range(n) if order.leq(i, j))
+                for j in range(n):
+                    table[p[i]][p[j]] = p[mul[i][j]]
+            facts = _order_facts(tuple(up))
+            assoc, dist = first_axiom_failures_naive(table, facts.join, n)
+            assert assoc is not None and dist is None
+            expect = [Violation("NotAssociative", tuple(labels[i] for i in assoc))]
+            assert multiplication_violations(labels, facts, table, 0, n - 1) == expect
+            seen += 1
+    assert seen > 100
 
 
 def test_bottom_equals_top_rejected():
@@ -401,6 +489,16 @@ def test_power_refuses_exponents_below_1(k):
         L1.power(L1.index("d"), k)
 
 
+def test_element_cap():
+    # every index fits in a byte: the largest lattice builds, one more
+    # element is refused before the order is closed
+    assert MAX_ELEMENTS == 256
+    assert boolean_lattice(8).n == MAX_ELEMENTS
+    up = tuple(1 << MAX_ELEMENTS for _ in range(MAX_ELEMENTS + 1))
+    with pytest.raises(SizeCapExceeded, match="size 257 exceeds the element cap 256"):
+        FiniteMultLattice.from_tables(up, [], 0, MAX_ELEMENTS)
+
+
 def test_lattice_keeps_fewer_than_30_attributes():
     # From 30 instance attributes on, CPython 3.11 stops sharing dict keys
     # between instances and every attribute lookup on a lattice slows down.
@@ -570,12 +668,17 @@ def _derived_digest(lattices) -> str:
 DERIVED_DIGESTS = {
     "universe5+presets": "9be1c0290b146659e2ee12c95e40d17cf5876f41fdd6f7d934cb5ab4918a00d9",
     "universe7+presets": "39a9bf3484901cb4ca4286bdaec3a83a9f1121a472ccbe101dc41276ce29229c",
+    "larger": "899514184f959ffa031797f12f25652eebe59a66b85490ad5278996104381e58",
 }
 
 
 def test_derived_data_frozen(universe5, all_presets):
     lattices = [*universe5, *all_presets, boolean_lattice(4), chain_lattice(8)]
     assert _derived_digest(lattices) == DERIVED_DIGESTS["universe5+presets"]
+
+
+def test_larger_derived_data_frozen():
+    assert _derived_digest(larger_lattices()) == DERIVED_DIGESTS["larger"]
 
 
 def test_size7_derived_data_frozen(universe7, all_presets):

@@ -29,6 +29,7 @@ from comaxlat.cli import main
 from comaxlat.core import (
     LatticeSpec,
     ValidationError,
+    _order_facts,
     multiplication_violations,
     validate_lattice,
 )
@@ -276,7 +277,7 @@ def test_search_completes_only_solutions():
         for order in enumerate_bounded_lattices(n):
             for tab in enumeration._mult_tables(order):
                 assert not multiplication_violations(
-                    labels, order.join, tab, order.bottom, order.top
+                    labels, _order_facts(order.up), tab, order.bottom, order.top
                 ), (order.name, tab)
 
 
