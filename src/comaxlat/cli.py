@@ -22,7 +22,7 @@ from .enumeration import (
     SizeCapExceeded,
     UnknownPredicate,
     canonical_form,
-    enumerated_universe,  # unused here; perfbench/tracing.py wraps it by name
+    enumerated_universe,
     search,
 )
 from .factorize import (
@@ -141,13 +141,17 @@ def cmd_enumerate(args) -> int:
         return 2
     if args.size_cap == HARD_SIZE_CAP and args.size == 7:
         print("warning: size-7 enumeration may take a while", file=sys.stderr)
-    selected = search(args.size, args.predicate or None, size_cap=args.size_cap)
-    per_size = Counter(L.n for L, _ in selected)
+    if args.predicate or args.out:
+        selected = search(args.size, args.predicate or None, size_cap=args.size_cap)
+        lattices = [L for L, _ in selected]
+    else:  # only the counts are printed, so no lattice is classified
+        lattices = enumerated_universe(args.size, size_cap=args.size_cap)
+    per_size = Counter(L.n for L in lattices)
     for n in range(1, args.size + 1):
         print(f"size={n} lattices={per_size[n]}")
     if args.predicate:
-        print(f"predicate={args.predicate} matches={len(selected)}")
-    print(f"total={len(selected)}")
+        print(f"predicate={args.predicate} matches={len(lattices)}")
+    print(f"total={len(lattices)}")
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -220,18 +220,25 @@ def _extremum(mask: int, cone: tuple[int, ...]) -> Optional[int]:
 
 
 class _Order(NamedTuple):
-    """Index-level facts of a closed order with a least and a greatest element.
+    """Index-level facts of an order given by up-set masks.
 
-    ``join`` and ``meet`` are ``None`` when some pair lacks a bound, and
-    ``missing`` is then the first such pair ``(i, j)``, ``i <= j``, in
-    row-major index order.  ``covers[x]`` lists the lower covers of ``x``
-    in index order; ``jirr`` masks the join-irreducibles, the elements
-    with exactly one.  ``descending`` is a reverse linear extension: every
-    element comes before all elements strictly below it.  ``join_rows``
-    and ``meet_rows`` hold the rows of ``join`` and ``meet`` as bytes, or
+    ``up`` holds the masks closed under reflexivity and transitivity.
+    ``cycle`` is the first pair ``(i, j)``, ``i < j``, in row-major index
+    order with ``i <= j <= i``, or ``None``; with a cycle, ``join``,
+    ``meet`` and ``missing`` are ``None`` and the other fields describe
+    the relation, not an order.  Otherwise ``join`` and ``meet`` are
+    ``None`` when some pair lacks a bound, and ``missing`` is then the
+    first such pair ``(i, j)``, ``i <= j``, in row-major index order.
+    ``covers[x]`` lists the lower covers of ``x`` in index order; ``jirr``
+    masks the join-irreducibles, the elements with exactly one.
+    ``descending`` is a reverse linear extension: every element comes
+    before all elements strictly below it.  ``join_rows`` and
+    ``meet_rows`` hold the rows of ``join`` and ``meet`` as bytes, or
     ``None`` with them.
     """
 
+    up: tuple[int, ...]
+    cycle: Optional[tuple[int, int]]
     join: Optional[tuple[tuple[int, ...], ...]]
     meet: Optional[tuple[tuple[int, ...], ...]]
     missing: Optional[tuple[int, int]]
@@ -245,14 +252,30 @@ class _Order(NamedTuple):
 
 @functools.lru_cache(maxsize=1024)
 def _order_facts(up: tuple[int, ...]) -> _Order:
-    """The :class:`_Order` of closed up-set masks, computed once per order.
+    """The :class:`_Order` of up-set masks as given, computed once per order.
 
-    Lattices built on one order share its tables.  Only index-level data
-    is kept here: labels and violations are produced by each caller.  The
-    bound keeps every order up to size 8 (300 of them) without letting
-    large user lattices pile up.
+    The masks are closed here, and the record keeps the closed masks and
+    the first order cycle, so building another lattice on the same masks
+    repeats only the caller's checks on its designated bounds.  Lattices
+    built on one order share its tables.  Only index-level data is kept
+    here: labels and violations are produced by each caller.  The bound
+    keeps every order up to size 8 (300 of them) without letting large
+    user lattices pile up.
     """
     n = len(up)
+    closed = list(up)
+    _closure(closed, n)
+    up = tuple(closed)
+    cycle = None
+    # in a closed relation, i <= j <= i exactly when up[i] == up[j]: the
+    # scan for the first cycle runs only when two up-sets coincide
+    if len(set(up)) < n:
+        cycle = next(
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if up[i] >> j & 1 and up[j] >> i & 1
+        )
     down = tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
     covers = tuple(
         tuple(i for i in _members(below) if up[i] & below & ~(1 << i) == 0)
@@ -260,6 +283,10 @@ def _order_facts(up: tuple[int, ...]) -> _Order:
     )
     jirr = _mask(x for x in range(n) if len(covers[x]) == 1)
     descending = tuple(sorted(range(n), key=lambda i: bin(up[i]).count("1")))
+    if cycle is not None:
+        return _Order(
+            up, cycle, None, None, None, down, covers, jirr, descending, None, None
+        )
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -268,14 +295,16 @@ def _order_facts(up: tuple[int, ...]) -> _Order:
             gl = _extremum(down[i] & down[j], down)
             if lu is None or gl is None:
                 return _Order(
-                    None, None, (i, j), down, covers, jirr, descending, None, None
+                    up, None, None, None, (i, j), down, covers, jirr, descending,
+                    None, None,
                 )
             join[i][j] = join[j][i] = lu
             meet[i][j] = meet[j][i] = gl
     join_t, meet_t = tuple(map(tuple, join)), tuple(map(tuple, meet))
     join_rows, meet_rows = tuple(map(bytes, join)), tuple(map(bytes, meet))
     return _Order(
-        join_t, meet_t, None, down, covers, jirr, descending, join_rows, meet_rows
+        up, None, join_t, meet_t, None, down, covers, jirr, descending,
+        join_rows, meet_rows,
     )
 
 
@@ -408,7 +437,7 @@ class FiniteMultLattice:
         self,
         name: str,
         labels: tuple[str, ...],
-        up: tuple[int, ...],
+        order: _Order,
         mul: tuple[tuple[int, ...], ...],
         bottom: int,
         top: int,
@@ -421,8 +450,8 @@ class FiniteMultLattice:
         self.n = len(labels)
         self.bottom = bottom
         self.top = top
-        self._up = up
-        self._order = order = _order_facts(up)
+        self._order = order
+        self._up = order.up
         self._down = order.down
         self._join = order.join
         self._meet = order.meet
@@ -444,11 +473,14 @@ class FiniteMultLattice:
         """Build and fully validate a lattice from raw order/product tables.
 
         ``up[i]`` masks elements above ``i``; the reflexive-transitive
-        closure is taken.  ``mul`` is the symmetric product table.  A
-        ``None`` cell with the bottom or top is filled in as the axioms
-        force; any other ``None`` cell is reported as ``MissingProduct``,
-        after the order checks.  Raises :class:`SizeCapExceeded` above
-        :data:`MAX_ELEMENTS` elements.
+        closure is taken.  Everything that depends on ``up`` alone, the
+        closure and the order checks included, comes from the order's
+        record (:func:`_order_facts`), derived once per distinct ``up``.
+        ``mul`` is the symmetric product table.  A ``None`` cell with the
+        bottom or top is filled in as the axioms force; any other ``None``
+        cell is reported as ``MissingProduct``, after the order checks.
+        Raises :class:`SizeCapExceeded` above :data:`MAX_ELEMENTS`
+        elements.
         """
         n = len(up)
         _check_elements(n)
@@ -456,34 +488,39 @@ class FiniteMultLattice:
             labels = default_labels(n, bottom, top)
         if bottom == top:
             raise ValidationError([Violation("BottomEqualsTop", (labels[bottom],))])
-        closed = list(up)
-        _closure(closed, n)
-        up = tuple(closed)
-        viols = _order_violations(up, n, bottom, top, labels)
+        order = _order_facts(tuple(up))
+        if order.cycle is not None:
+            i, j = order.cycle
+            raise ValidationError(
+                [Violation("NotAPartialOrder", (labels[i], labels[j]), "order cycle")]
+            )
+        viols = _bound_violations(order, bottom, top, labels)
         if viols:
             raise ValidationError(viols)
-        order = _order_facts(up)
         if order.missing is not None:
             i, j = order.missing
             raise ValidationError(
                 [Violation("NotALattice", (labels[i], labels[j]), "missing bound")]
             )
-        table = [list(row) for row in mul]
-        for x in range(n):  # x*1 = x and x*0 = 0 are forced
-            for y, v in ((top, x), (bottom, bottom)):
-                if table[x][y] is None:
-                    table[x][y] = table[y][x] = v
-        if any(None in row for row in table):
-            raise ValidationError(
-                Violation("MissingProduct", mul_key(labels[i], labels[j]))
-                for i, j in itertools.combinations_with_replacement(range(n), 2)
-                if table[i][j] is None
-            )
-        viols = multiplication_violations(labels, order, table, bottom, top)
+        if any(None in row for row in mul):
+            table = [list(row) for row in mul]
+            for x in range(n):  # x*1 = x and x*0 = 0 are forced
+                for y, v in ((top, x), (bottom, bottom)):
+                    if table[x][y] is None:
+                        table[x][y] = table[y][x] = v
+            if any(None in row for row in table):
+                raise ValidationError(
+                    Violation("MissingProduct", mul_key(labels[i], labels[j]))
+                    for i, j in itertools.combinations_with_replacement(range(n), 2)
+                    if table[i][j] is None
+                )
+            mul = table
+        # the one copy; a row that is already a tuple is kept as it is
+        mul = tuple(map(tuple, mul))
+        viols = multiplication_violations(labels, order, mul, bottom, top)
         if viols:
             raise ValidationError(viols)
-        mul = tuple(map(tuple, table))
-        return cls(name, labels, up, mul, bottom, top)
+        return cls(name, labels, order, mul, bottom, top)
 
     def _build_caches(self) -> None:
         # A lattice has 22 instance attributes.  Keep fewer than 30: from 30
@@ -834,37 +871,42 @@ def default_labels(n: int, bottom: int, top: int) -> tuple[str, ...]:
 
     Past ``z`` the letters continue as ``aa, ab, ..., zz, aaa, ...``.
     """
-    letters = (
-        "".join(word)
-        for size in itertools.count(1)
-        for word in itertools.product("abcdefghijklmnopqrstuvwxyz", repeat=size)
-    )
-    out = []
+    out, k = [], 0
     for i in range(n):
         if i == bottom:
             out.append("0")
         elif i == top:
             out.append("1")
         else:
-            out.append(next(letters))
+            out.append(_word(k))
+            k += 1
     return tuple(out)
 
 
-def _order_violations(
-    up: tuple[int, ...], n: int, bottom: int, top: int, labels: tuple[str, ...]
+def _word(k: int) -> str:
+    """Word ``k``, from 0, of ``a, ..., z, aa, ab, ..., zz, aaa, ...``."""
+    word = ""
+    while True:
+        k, r = divmod(k, 26)
+        word = "abcdefghijklmnopqrstuvwxyz"[r] + word
+        if not k:
+            return word
+        k -= 1
+
+
+def _bound_violations(
+    order: _Order, bottom: int, top: int, labels: tuple[str, ...]
 ) -> list[Violation]:
-    full = (1 << n) - 1
-    # in a closed relation, i <= j <= i exactly when up[i] == up[j]: the
-    # scan for the first cycle runs only when two up-sets coincide
-    if len(set(up)) < n:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if up[i] >> j & 1 and up[j] >> i & 1:
-                    pair = (labels[i], labels[j])
-                    return [Violation("NotAPartialOrder", pair, "order cycle")]
+    """The designated bounds of an acyclic order, each against every element.
+
+    The witness is the first element, in index order, not above the
+    bottom, and the first not below the top.
+    """
+    full = (1 << len(order.up)) - 1
     out = []
-    if up[bottom] != full:
-        bad = next(j for j in range(n) if not up[bottom] >> j & 1)
+    if order.up[bottom] != full:
+        rest = full & ~order.up[bottom]
+        bad = (rest & -rest).bit_length() - 1
         out.append(
             Violation(
                 "NotALattice",
@@ -872,8 +914,9 @@ def _order_violations(
                 "designated bottom is not the least element",
             )
         )
-    if any(not up[i] >> top & 1 for i in range(n)):
-        bad = next(i for i in range(n) if not up[i] >> top & 1)
+    if order.down[top] != full:
+        rest = full & ~order.down[top]
+        bad = (rest & -rest).bit_length() - 1
         out.append(
             Violation(
                 "NotALattice",

@@ -28,7 +28,10 @@ prune a branch as soon as a partial table breaks an axiom:
 
 - monotonicity: a new entry ``x*y = v`` must lie above every known
   entry ``a*b`` with ``a <= x`` and ``b <= y`` and below every known
-  entry above it, tested with bitmask up- and down-sets;
+  entry above it.  Each cell keeps the bounds this leaves it, ``lo``
+  (the join of the known entries below it) and ``hi`` (the meet of
+  those above), as one bitmask of the values between them, so a value
+  costs one bit test;
 - associativity: once the products ``p*q``, ``q*r``, ``(p*q)*r`` and
   ``p*(q*r)`` of join-irreducibles ``p, q, r`` are all known, the two
   sides must agree.
@@ -269,7 +272,14 @@ def _mult_tables(order: OrderTable) -> list[Table]:
     proper elements and its join, the top included.
     Monotonicity and associativity on join-irreducibles prune partial
     tables; a completed table is kept when every triple of
-    join-irreducibles associates.  The full axiom check is left to
+    join-irreducibles associates.  Monotonicity reads per-cell bounds:
+    a value ``v`` is allowed at a cell when ``lo <= v <= hi``, ``lo``
+    the join of the known entries at cells below it and ``hi`` the meet
+    of those above, kept as the mask of that interval.  Setting a cell
+    narrows the cells comparable to it, listed once per order, and each
+    level of the search copies the masks and restores them on backtrack.
+    This prunes exactly the branches that comparing the new entry with
+    every known one would.  The full axiom check is left to
     :func:`enumerate_multiplications`.  Returns tables before
     automorphism dedup, in deterministic order.
     """
@@ -309,23 +319,40 @@ def _mult_tables(order: OrderTable) -> list[Table]:
             checks[at].append((p, q, r))
     triples = [t for at in checks for t in at]
 
-    assigned: list[tuple[int, int, int]] = []  # trail for undo, (x, y, x*y)
+    # allowed[x*n+y], x <= y, masks the interval [lo, hi] of cell (x, y):
+    # in a lattice up(a v b) = up(a) & up(b), so narrowing the mask by the
+    # up-set of each known entry below and the down-set of each one above
+    # leaves that interval.  (x, y) lies below (a, b) when x <= a and
+    # y <= b, or x <= b and y <= a.
+    cells = [x * n + y for x, y in itertools.combinations_with_replacement(mids, 2)]
+    above: dict[int, list[int]] = {c: [] for c in cells}
+    below: dict[int, list[int]] = {c: [] for c in cells}
+    for c in cells:
+        x, y = divmod(c, n)
+        ux, uy = up[x], up[y]
+        for d in cells:
+            a, b = divmod(d, n)
+            if (ux >> a & uy >> b | ux >> b & uy >> a) & 1:
+                above[c].append(d)
+                below[d].append(c)
+    allowed = [(1 << n) - 1] * (n * n)
+    assigned: list[tuple[int, int]] = []  # trail for undo
 
     def set_cell(x: int, y: int, v: int) -> bool:
         # only empty cells are set, always below the meet: a free domain
         # lies below it, and u*y v v*y <= (u /\ y) v (v /\ y) <= x /\ y
         if x > y:
             x, y = y, x
-        # monotonicity against already-known cells
-        dx, dy, ux, uy = down[x], down[y], up[x], up[y]
-        dv, uv = down[v], up[v]
-        for a, b, w in assigned:
-            if (dx >> a & dy >> b | dx >> b & dy >> a) & 1 and not dv >> w & 1:
-                return False
-            if (ux >> a & uy >> b | ux >> b & uy >> a) & 1 and not uv >> w & 1:
-                return False
+        c = x * n + y
+        if not allowed[c] >> v & 1:
+            return False
+        uv, dv = up[v], down[v]
+        for d in above[c]:
+            allowed[d] &= uv
+        for d in below[c]:
+            allowed[d] &= dv
         table[x][y] = table[y][x] = v
-        assigned.append((x, y, v))
+        assigned.append((x, y))
         return True
 
     def propagate() -> bool:
@@ -367,12 +394,14 @@ def _mult_tables(order: OrderTable) -> list[Table]:
             return
         p, q = free[i]
         mark = len(assigned)
+        saved = allowed[:]
         for v in domains[i]:
             if set_cell(p, q, v) and propagate() and associative(checks[i]):
                 dfs(i + 1)
             while len(assigned) > mark:
-                a, b, _ = assigned.pop()
+                a, b = assigned.pop()
                 table[a][b] = table[b][a] = None
+            allowed[:] = saved
 
     dfs(0)
     return results

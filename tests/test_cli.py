@@ -21,7 +21,7 @@ from bruteforce import (
     larger_lattices,
     serialize_spec_naive,
 )
-from comaxlat import cli
+from comaxlat import cli, enumeration
 from comaxlat.cli import main
 from comaxlat.core import MAX_ELEMENTS, LatticeSpec, SizeCapExceeded, mul_key
 from comaxlat.latfile import parse_lattice_file, serialize_spec
@@ -298,6 +298,23 @@ def test_enumerate_counts(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "size=4 lattices=7" in lines
     assert lines[-1] == "total=10"
+
+
+def test_enumerate_counts_classify_nothing(capsys, monkeypatch):
+    # without --predicate or --out no report is read, so none is made
+    def refuse(L):
+        raise AssertionError(f"classified {L.name}")
+
+    monkeypatch.setattr(enumeration, "classify_lattice", refuse)
+    monkeypatch.setattr(cli, "classify_lattice", refuse)
+    assert main(["enumerate", "--size", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "size=1 lattices=0\nsize=2 lattices=1\nsize=3 lattices=2\n"
+        "size=4 lattices=7\nsize=5 lattices=26\nsize=6 lattices=129\n"
+        "total=165\n"
+    )
+    with pytest.raises(AssertionError, match="classified"):
+        main(["enumerate", "--size", "3", "--predicate", "cpr"])
 
 
 def test_enumerate_predicate(capsys):

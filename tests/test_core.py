@@ -41,6 +41,7 @@ from comaxlat.core import (
     validate_lattice,
 )
 from comaxlat.enumeration import enumerate_bounded_lattices
+from comaxlat.latfile import load_lattice, serialize_spec
 from comaxlat.presets import preset, preset_spec
 from comaxlat.theorems import check_entry
 
@@ -283,6 +284,79 @@ def test_order_defects_report_their_own_labels():
         with pytest.raises(ValidationError) as exc:
             validate_lattice(spec)
         assert [str(v) for v in exc.value.violations] == [want]
+
+
+def _raw_up(n, pairs):
+    """Up-set masks of the relation ``pairs`` as given, not closed."""
+    up = [0] * n
+    for i, j in pairs:
+        up[i] |= 1 << j
+    return tuple(up)
+
+
+_CHAIN4 = ((0, 1), (1, 2), (2, 3))  # the covers of 0 < a < b < 1
+
+
+def test_order_record_reports_the_same_defect_twice():
+    # The first call derives the order's record, the second reads it from
+    # the memo: both raise the same violations, with the same witnesses.
+    crown = ((0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5))
+    cases = [
+        (_raw_up(4, ((0, 1), (1, 2), (2, 1), (2, 3))), 0, 3, ["NotAPartialOrder a b"]),
+        (_raw_up(6, crown), 0, 5, ["NotALattice a b"]),
+        (_raw_up(4, _CHAIN4), 1, 3, ["NotALattice a 0"]),
+        (_raw_up(4, _CHAIN4), 0, 2, ["NotALattice 1 b"]),
+        (_raw_up(4, _CHAIN4), 1, 2, ["NotALattice a 0", "NotALattice 1 b"]),
+    ]
+    for up, bottom, top, want in cases:
+        n = len(up)
+        labels = ("0", *"abcd"[: n - 2], "1")
+        mul = [[0] * n for _ in range(n)]  # never read: the order fails first
+        _order_facts.cache_clear()
+        got = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as exc:
+                FiniteMultLattice.from_tables(up, mul, bottom, top, labels)
+            got.append([astuple(v) for v in exc.value.violations])
+        info = _order_facts.cache_info()
+        assert (info.misses, info.hits) == (1, 1), want
+        assert got[0] == got[1]
+        assert [" ".join((code, *witness)) for code, witness, _ in got[0]] == want
+
+
+def test_one_order_record_serves_every_designated_bound():
+    # One record per raw up-masks, whatever bounds a call designates: each
+    # call checks its own bottom and top and names its own witnesses.
+    up = _raw_up(4, _CHAIN4)
+    labels = ("0", "a", "b", "1")
+    valid = ((0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 2, 2), (0, 1, 2, 3))
+    _order_facts.cache_clear()
+    for bottom, top, want in (
+        (0, 3, []),
+        (1, 3, ["NotALattice a 0"]),
+        (0, 2, ["NotALattice 1 b"]),
+        (2, 1, ["NotALattice b 0", "NotALattice b a"]),
+        (0, 3, []),
+    ):
+        try:
+            FiniteMultLattice.from_tables(up, valid, bottom, top, labels)
+            got = []
+        except ValidationError as exc:
+            got = [str(v) for v in exc.violations]
+        assert got == want, (bottom, top)
+    assert _order_facts.cache_info().misses == 1
+
+
+def test_a_new_file_derives_its_order_once(tmp_path):
+    # A file lists covering pairs, so its raw masks are not closed: the
+    # record is looked up by the raw masks and handed to the constructor.
+    path = tmp_path / "L1.json"
+    path.write_text(serialize_spec(preset_spec("L1")), encoding="utf-8")
+    _order_facts.cache_clear()
+    L = load_lattice(path)
+    assert _order_facts.cache_info().misses == 1
+    _order_facts(L._up)  # the closed masks are another key
+    assert _order_facts.cache_info().misses == 2
 
 
 def test_product_checks_run_on_a_memoized_order():
