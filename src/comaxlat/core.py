@@ -476,45 +476,41 @@ class FiniteMultLattice:
         closure is taken.  Everything that depends on ``up`` alone, the
         closure and the order checks included, comes from the order's
         record (:func:`_order_facts`), derived once per distinct ``up``.
-        ``mul`` is the symmetric product table.  A ``None`` cell with the
-        bottom or top is filled in as the axioms force; any other ``None``
-        cell is reported as ``MissingProduct``, after the order checks.
+        ``mul`` is the full symmetric product table.  The tables are
+        checked as given and never rewritten: a ``None`` cell, in either
+        triangle and with the bounds too, is reported as
+        ``MissingProduct`` for its pair, after the order checks.  Only
+        :func:`validate_lattice` fills the products the axioms force.
         Raises :class:`SizeCapExceeded` above :data:`MAX_ELEMENTS`
-        elements.
+        elements, then :class:`InvalidSpec` for a ``bottom`` or ``top``
+        outside ``range(n)``, an up-mask with a bit outside it or
+        negative, or ``labels`` of another length than ``up``.
         """
         n = len(up)
         _check_elements(n)
+        for what, x in (("bottom", bottom), ("top", top)):
+            if x not in range(n):
+                raise InvalidSpec(f"designated {what} {x!r} is outside range({n})")
+        full = (1 << n) - 1
+        for i, mask in enumerate(up):
+            if mask & ~full:  # so is every negative mask
+                raise InvalidSpec(f"up[{i}] = {mask!r} is not a mask of range({n})")
         if labels is None:
             labels = default_labels(n, bottom, top)
+        elif len(labels) != n:
+            raise InvalidSpec(f"{len(labels)} labels given for {n} elements")
         if bottom == top:
             raise ValidationError([Violation("BottomEqualsTop", (labels[bottom],))])
         order = _order_facts(tuple(up))
-        if order.cycle is not None:
-            i, j = order.cycle
-            raise ValidationError(
-                [Violation("NotAPartialOrder", (labels[i], labels[j]), "order cycle")]
-            )
-        viols = _bound_violations(order, bottom, top, labels)
+        viols = _order_violations(order, bottom, top, labels)
         if viols:
             raise ValidationError(viols)
-        if order.missing is not None:
-            i, j = order.missing
-            raise ValidationError(
-                [Violation("NotALattice", (labels[i], labels[j]), "missing bound")]
-            )
         if any(None in row for row in mul):
-            table = [list(row) for row in mul]
-            for x in range(n):  # x*1 = x and x*0 = 0 are forced
-                for y, v in ((top, x), (bottom, bottom)):
-                    if table[x][y] is None:
-                        table[x][y] = table[y][x] = v
-            if any(None in row for row in table):
-                raise ValidationError(
-                    Violation("MissingProduct", mul_key(labels[i], labels[j]))
-                    for i, j in itertools.combinations_with_replacement(range(n), 2)
-                    if table[i][j] is None
-                )
-            mul = table
+            raise ValidationError(
+                Violation("MissingProduct", mul_key(labels[i], labels[j]))
+                for i, j in itertools.combinations_with_replacement(range(n), 2)
+                if mul[i][j] is None or mul[j][i] is None
+            )
         # the one copy; a row that is already a tuple is kept as it is
         mul = tuple(map(tuple, mul))
         viols = multiplication_violations(labels, order, mul, bottom, top)
@@ -894,36 +890,35 @@ def _word(k: int) -> str:
         k -= 1
 
 
-def _bound_violations(
+def _order_violations(
     order: _Order, bottom: int, top: int, labels: tuple[str, ...]
 ) -> list[Violation]:
-    """The designated bounds of an acyclic order, each against every element.
+    """The order defects of a record with designated bounds, or ``[]``.
 
-    The witness is the first element, in index order, not above the
-    bottom, and the first not below the top.
+    Three checks in turn, and only the first that fails reports: the
+    first order cycle (``NotAPartialOrder``); then each designated bound
+    against every element, witnessed by the first element in index order
+    not above the bottom or not below the top (``NotALattice``, one per
+    bound); then the first pair that lacks a join or a meet.
     """
+    if order.cycle is not None:
+        i, j = order.cycle
+        return [Violation("NotAPartialOrder", (labels[i], labels[j]), "order cycle")]
     full = (1 << len(order.up)) - 1
     out = []
-    if order.up[bottom] != full:
-        rest = full & ~order.up[bottom]
+    rest = full & ~order.up[bottom]
+    if rest:
         bad = (rest & -rest).bit_length() - 1
-        out.append(
-            Violation(
-                "NotALattice",
-                (labels[bottom], labels[bad]),
-                "designated bottom is not the least element",
-            )
-        )
-    if order.down[top] != full:
-        rest = full & ~order.down[top]
+        detail = "designated bottom is not the least element"
+        out.append(Violation("NotALattice", (labels[bottom], labels[bad]), detail))
+    rest = full & ~order.down[top]
+    if rest:
         bad = (rest & -rest).bit_length() - 1
-        out.append(
-            Violation(
-                "NotALattice",
-                (labels[bad], labels[top]),
-                "designated top is not the greatest element",
-            )
-        )
+        detail = "designated top is not the greatest element"
+        out.append(Violation("NotALattice", (labels[bad], labels[top]), detail))
+    if not out and order.missing is not None:
+        i, j = order.missing
+        out.append(Violation("NotALattice", (labels[i], labels[j]), "missing bound"))
     return out
 
 
@@ -933,8 +928,10 @@ def validate_lattice(spec: LatticeSpec) -> FiniteMultLattice:
     Raises :class:`InvalidSpec` for malformed input (unknown or repeated
     labels) and :class:`ValidationError` carrying one
     :class:`Violation` per failed check otherwise.  Products with the
-    bottom or top element may be omitted from the spec and are inferred
-    from the axioms; all other products are mandatory and reported as
+    bottom or top element may be omitted from the spec: this lowering
+    writes the forced products ``x*1 = x`` and ``x*0 = 0`` first, and the
+    spec's own entries overwrite them, so an explicit bound product is
+    still checked.  All other products are mandatory and reported as
     ``MissingProduct`` when absent.
     """
     labels = tuple(spec.elements)
@@ -952,7 +949,11 @@ def validate_lattice(spec: LatticeSpec) -> FiniteMultLattice:
         if x not in index or y not in index:
             raise InvalidSpec(f"order pair ({x!r}, {y!r}) uses unknown labels")
         up[index[x]] |= 1 << index[y]
+    bottom, top = index[spec.bottom], index[spec.top]
     mul: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+    for x in range(n):  # the forced products, x*1 = x and x*0 = 0
+        mul[x][top] = mul[top][x] = x
+        mul[x][bottom] = mul[bottom][x] = bottom
     for (x, y), v in spec.mul_entries.items():
         if x not in index or y not in index or v not in index:
             raise InvalidSpec(f"product entry {x!r}*{y!r}={v!r} uses unknown labels")
@@ -960,7 +961,6 @@ def validate_lattice(spec: LatticeSpec) -> FiniteMultLattice:
             raise InvalidSpec(f"product key ({x!r}, {y!r}) is not normalized")
         i, j = index[x], index[y]
         mul[i][j] = mul[j][i] = index[v]
-    bottom, top = index[spec.bottom], index[spec.top]
     return FiniteMultLattice.from_tables(
         tuple(up), mul, bottom, top, labels=labels, name=spec.name
     )

@@ -670,6 +670,90 @@ def thm_cq_characterization_naive(L: FiniteMultLattice):
     return True, lhs == rhs, None
 
 
+# The twins below take the generating set as a tuple of elements, as
+# thm_cpr_sufficiency_naive does; the ones whose statement has no
+# generators ignore it.  Factorizations come from the subset scan of
+# oracle_factorizations_naive, primes, minimal primes and the dimension
+# from the naive twins above.
+
+
+def treed_naive(L: FiniteMultLattice) -> bool:
+    """The primes below each prime form a chain."""
+    primes = [p for p in L.elements() if is_prime_naive(L, p)]
+    return all(
+        L.leq(p, q) or L.leq(q, p)
+        for m in primes
+        for p, q in itertools.combinations([p for p in primes if L.leq(p, m)], 2)
+    )
+
+
+def _factors_naive(L: FiniteMultLattice, a: int, kind: FactorKind) -> bool:
+    """Whether ``a`` is proper and has a factorization of ``kind``."""
+    return a != L.top and bool(oracle_factorizations_naive(L, a, kind))
+
+
+def _generator_products_factor_naive(L: FiniteMultLattice, gens) -> bool:
+    """Every product of two proper generators has a prime-radical factorization."""
+    proper = [g for g in gens if g != L.top]
+    return all(
+        _factors_naive(L, L.mul2(g, h), FactorKind.CPR) for g in proper for h in proper
+    )
+
+
+def cor_closure_naive(L: FiniteMultLattice, gens=()):
+    """In a treed lattice the proper elements with a prime-radical
+    factorization are closed under products, binary meets and binary
+    joins (the top aside), and the minimal primes of each combination lie
+    among those of its two arguments.  The witness is ``(x, y, combo)``,
+    the first pair ``x <= y`` in index order, then product, meet, join."""
+    if not treed_naive(L):
+        return False, None, None
+    factorable = [
+        a for a in L.proper_elements() if _factors_naive(L, a, FactorKind.CPR)
+    ]
+    mins = [set(min_primes_naive(L, a)) for a in L.elements()]
+    for x, y in itertools.combinations_with_replacement(factorable, 2):
+        for combo in (L.mul2(x, y), L.meet2(x, y), L.join2(x, y)):
+            if not mins[combo] <= mins[x] | mins[y]:
+                return True, False, (x, y, combo)
+            if combo != L.top and combo not in factorable:
+                return True, False, (x, y, combo)
+    return True, True, None
+
+
+def thm_treed_from_generators_naive(L: FiniteMultLattice, gens):
+    """If the generators generate and every product of two proper ones has
+    a prime-radical factorization, the lattice is treed."""
+    if not (generates_naive(L, gens) and _generator_products_factor_naive(L, gens)):
+        return False, None, None
+    return True, treed_naive(L), None
+
+
+def cor_compact_equivalences_naive(L: FiniteMultLattice, gens):
+    """For a generating set, four conditions agree: (1) every proper element
+    has a prime-radical factorization; (2) every product of two proper
+    generators has one; (3) the lattice is treed and every element has
+    finitely many minimal primes; (4) it is treed and every generator has
+    finitely many minimal primes."""
+    if not generates_naive(L, gens):
+        return False, None, None
+    c1 = all(_factors_naive(L, a, FactorKind.CPR) for a in L.proper_elements())
+    c2 = _generator_products_factor_naive(L, gens)
+    treed = treed_naive(L)
+    c3 = treed and all(len(min_primes_naive(L, a)) <= L.n for a in L.elements())
+    c4 = treed and all(len(min_primes_naive(L, g)) <= L.n for g in gens)
+    return True, c1 == c2 == c3 == c4, None
+
+
+def lemma_cq_sufficient_naive(L: FiniteMultLattice, gens=()):
+    """In a domain of dimension one every proper element has a primary
+    factorization."""
+    if not (is_prime_naive(L, L.bottom) and dimension_naive(L) == 1):
+        return False, None, None
+    cq = all(_factors_naive(L, a, FactorKind.CQ) for a in L.proper_elements())
+    return True, cq, None
+
+
 def boolean_lattice(k: int) -> FiniteMultLattice:
     """The subsets of a k-set with meet as product; element i is the subset
     with bitmask i, so the bottom is 0 and the top is 2**k - 1."""

@@ -417,6 +417,65 @@ def test_explicit_bound_products_are_checked():
     assert "BottomNotAbsorbing" in exc.value.codes()
 
 
+_CHAIN3_UP = (0b111, 0b110, 0b100)  # the chain 0 < a < 1
+_CHAIN3_MUL = ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+
+
+def _chain3_with_none(i, j):
+    mul = [list(row) for row in _CHAIN3_MUL]
+    mul[i][j] = None
+    return mul
+
+
+@pytest.mark.parametrize(
+    "cell, want",
+    [((1, 0), "MissingProduct 0 a"), ((2, 0), "MissingProduct 0 1"),
+     ((2, 1), "MissingProduct 1 a"), ((0, 2), "MissingProduct 0 1"),
+     ((1, 2), "MissingProduct 1 a")],
+)
+def test_from_tables_reports_every_none_cell(cell, want):
+    # from_tables checks its tables as given: a None cell in either triangle
+    # names its pair, bound cells included; nothing is filled in for it
+    with pytest.raises(ValidationError) as exc:
+        FiniteMultLattice.from_tables(_CHAIN3_UP, _chain3_with_none(*cell), 0, 2)
+    assert [str(v) for v in exc.value.violations] == [want]
+
+
+def test_spec_may_omit_bound_products():
+    # the lowering writes x*1 = x and x*0 = 0 for every x the spec omits
+    spec = LatticeSpec(
+        name="chain3",
+        elements=("0", "a", "1"),
+        order_pairs=(("0", "a"), ("a", "1")),
+        mul_entries={mul_key("a", "a"): "a"},
+    )
+    L = validate_lattice(spec)
+    assert L._mul == _CHAIN3_MUL
+
+
+@pytest.mark.parametrize(
+    "up, bottom, top, labels, message",
+    [
+        (_CHAIN3_UP, -1, 2, None, "designated bottom -1 is outside range(3)"),
+        (_CHAIN3_UP, 3, 2, None, "designated bottom 3 is outside range(3)"),
+        (_CHAIN3_UP, 0, -1, None, "designated top -1 is outside range(3)"),
+        (_CHAIN3_UP, 0, 3, None, "designated top 3 is outside range(3)"),
+        ((), 0, 0, None, "designated bottom 0 is outside range(0)"),
+        ((0b111 | 1 << 6, 0b110, 0b100), 0, 2, None,
+         "up[0] = 71 is not a mask of range(3)"),
+        ((0b111, 0b110, 0b1000), 0, 2, None, "up[2] = 8 is not a mask of range(3)"),
+        ((0b111, -2, 0b100), 0, 2, None, "up[1] = -2 is not a mask of range(3)"),
+        (_CHAIN3_UP, 0, 2, ("0", "1"), "2 labels given for 3 elements"),
+        (_CHAIN3_UP, 0, 2, ("0", "a", "b", "1"), "4 labels given for 3 elements"),
+    ],
+)
+def test_from_tables_refuses_out_of_range_input(up, bottom, top, labels, message):
+    # refused before any other check, with the value named
+    with pytest.raises(InvalidSpec) as exc:
+        FiniteMultLattice.from_tables(up, _CHAIN3_MUL, bottom, top, labels)
+    assert str(exc.value) == message
+
+
 # -- order and monoid operations ----------------------------------------------
 
 

@@ -12,15 +12,19 @@ import pytest
 from bruteforce import (
     boolean_lattice,
     comaximal_subsets_naive,
+    cor_closure_naive,
+    cor_compact_equivalences_naive,
     factor_kinds_naive,
     larger_lattices,
     lemma_comaximal_naive,
+    lemma_cq_sufficient_naive,
     lemma_formulas_naive,
     oracle_factorizations_naive,
     product_lattice,
     thm_cpr_criterion_naive,
     thm_cpr_sufficiency_naive,
     thm_cq_characterization_naive,
+    thm_treed_from_generators_naive,
     thm_unique_lift_naive,
 )
 from comaxlat.core import LatticeSpec, validate_lattice
@@ -198,6 +202,30 @@ def _assert_sufficiency_matches_naive(L) -> int:
     return na
 
 
+# twins that take the generating set; they read no table directly
+_GENERATOR_TWINS = {
+    "cor_closure": cor_closure_naive,
+    "thm_treed_from_generators": thm_treed_from_generators_naive,
+    "cor_compact_equivalences": cor_compact_equivalences_naive,
+    "lemma_cq_sufficient": lemma_cq_sufficient_naive,
+}
+
+
+def _assert_generator_twin_matches(L, tid, G="all", gens=None):
+    """Compare one entry with its twin for the generator set ``G``, whose
+    elements are ``gens`` (all of them by default); return the conclusion."""
+    gens = tuple(L.elements()) if gens is None else gens
+    hyp, concl, witness = _GENERATOR_TWINS[tid](L, gens)
+    labels = None if witness is None else tuple(L.label(w) for w in witness)
+    e = check_entry(L, tid, G)
+    assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == (
+        hyp,
+        concl,
+        labels,
+    ), (L.name, tid, G)
+    return concl
+
+
 def _assert_kernels_match_naive(L) -> set[str]:
     """Compare each kernel with its naive twin; return the failing entries."""
     failing = set()
@@ -239,6 +267,24 @@ def test_kernels_match_naive_twins(universe_deep, all_presets):
     assert na > 0
 
 
+@pytest.mark.parametrize("universe", ["universe_deep", "universe7"])
+def test_generator_checkers_match_naive_twins(request, universe, all_presets):
+    # cor_closure, thm_treed_from_generators, cor_compact_equivalences and
+    # lemma_cq_sufficient against twins written from their statements, for
+    # the generator sets all, principal and the join-irreducibles
+    lattices = [*request.getfixturevalue(universe), *all_presets, *larger_lattices()]
+    outcomes = Counter()
+    for L in lattices:
+        ji = L.join_irreducibles()
+        for G, gens in (("all", None), ("principal", L.principal_elements()), (ji, ji)):
+            for tid in _GENERATOR_TWINS:
+                concl = _assert_generator_twin_matches(L, tid, G, gens)
+                outcomes[tid, concl] += 1
+    # every entry is applicable somewhere and never fails on a lattice
+    for tid in _GENERATOR_TWINS:
+        assert outcomes[tid, True] > 0 and outcomes[tid, False] == 0, (tid, outcomes)
+
+
 def _with_cells(L, cells):
     """A copy of L with each ``(table, x, y, value)`` cell set."""
     C = copy.copy(L)
@@ -259,6 +305,10 @@ def _perturbed(L, rng, tables, row=None, col=None):
     return _with_cells(L, [(table, x, y, v) for table in tables])
 
 
+def _cor_closure_fails(C) -> bool:
+    return _assert_generator_twin_matches(C, "cor_closure") is False
+
+
 def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
     # One perturbed cell of the quotient, join, meet or product table makes
     # the kernels fail; the failures and their witnesses must match too.
@@ -266,6 +316,10 @@ def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
     # perturbed on its own as well, together with the same cell of the
     # meet table: part (i) of lemma_comaximal compares the two, and would
     # otherwise report every such cell before the products are reached.
+    # cor_closure reads the product, meet and join tables, but its twin
+    # also derives the primes and the factorizations from the product
+    # table, which the checker takes from the lattice as it was built; so
+    # it is compared on the perturbed quotient, join and meet tables only.
     rng = random.Random(20211)
     extra = random.Random(20212)
     failing = Counter()
@@ -274,13 +328,17 @@ def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
             continue
         for table in ("_quot", "_join", "_mul"):
             for _ in range(3):
-                failing.update(_assert_kernels_match_naive(_perturbed(L, rng, (table,))))
+                C = _perturbed(L, rng, (table,))
+                failing.update(_assert_kernels_match_naive(C))
+                if table != "_mul":
+                    failing["cor_closure"] += _cor_closure_fails(C)
         for _ in range(3):
             C = _perturbed(L, extra, ("_meet",))
             failing.update(_assert_kernels_match_naive(C))
+            failing["cor_closure"] += _cor_closure_fails(C)
             C = _perturbed(L, extra, ("_mul", "_meet"), row=L.top)
             failing.update(f"{tid} (top row)" for tid in _assert_kernels_match_naive(C))
-    for tid in _NAIVE_ENTRIES:
+    for tid in (*_NAIVE_ENTRIES, "cor_closure"):
         assert failing[tid] > 0, (tid, failing)
     assert failing["lemma_comaximal (top row)"] > 0, failing
 

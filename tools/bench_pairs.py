@@ -16,7 +16,9 @@ The output JSON holds, per workload and end-to-end metric, the median
 and quartiles of each side, every run's value of each side in pair
 order, and in how many pairs the working tree did better (lower or
 higher, as ``BENCHMARK.json`` says), together with whether every run
-was correct and how many items failed.  Standard library only.
+was correct and how many items failed.  Each metric also gets a
+``verdict`` against its ``bound`` in ``BENCHMARK.json`` (see
+:func:`verdict`).  Standard library only.
 """
 
 from __future__ import annotations
@@ -74,8 +76,29 @@ def summary(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """How the working tree's runs of one metric stand against the parent's.
+
+    ``"worse"`` when the change's median is worse than the parent's by
+    more than ``bound``, a fraction of the parent's median; otherwise
+    ``"unresolved"`` when the parent's spread, (q3 - q1) / median, exceeds
+    the bound and not every change run beats every parent run; otherwise
+    ``"within_bound"``.
+    """
+    p, c = summary(parent), summary(change)
+    base = abs(p["median"])
+    loss = c["median"] - p["median"] if lower else p["median"] - c["median"]
+    if loss > bound * base:
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if p["q3"] - p["q1"] > bound * base and not beats_all:
+        return "unresolved"
+    return "within_bound"
+
+
 def compare(parent: list[dict], change: list[dict], spec: list[dict]) -> dict:
-    """Per-metric summaries and runs of both sides and the working tree's wins."""
+    """Per-metric summaries and runs of both sides, the working tree's wins
+    and the verdict against the metric's bound."""
     out = {}
     for m in spec:
         name = m["name"]
@@ -91,6 +114,7 @@ def compare(parent: list[dict], change: list[dict], spec: list[dict]) -> dict:
             "runs": {"parent": p, "change": c},
             "change_wins": wins,
             "pairs": len(p),
+            "verdict": verdict(p, c, m["bound"], lower),
         }
     return out
 
