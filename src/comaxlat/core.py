@@ -484,7 +484,11 @@ class FiniteMultLattice:
         Raises :class:`SizeCapExceeded` above :data:`MAX_ELEMENTS`
         elements, then :class:`InvalidSpec` for a ``bottom`` or ``top``
         outside ``range(n)``, an up-mask with a bit outside it or
-        negative, or ``labels`` of another length than ``up``.
+        negative, or ``labels`` of another length than ``up``.  After
+        the order checks it raises :class:`InvalidSpec` for a ``mul``
+        without n rows of n entries, and after the ``None`` cells for
+        the first cell that is not an int in ``range(n)``, before the
+        axioms are checked.
         """
         n = len(up)
         _check_elements(n)
@@ -505,6 +509,11 @@ class FiniteMultLattice:
         viols = _order_violations(order, bottom, top, labels)
         if viols:
             raise ValidationError(viols)
+        if len(mul) != n:
+            raise InvalidSpec(f"mul has {len(mul)} rows for {n} elements")
+        for i, row in enumerate(mul):
+            if len(row) != n:
+                raise InvalidSpec(f"mul[{i}] has {len(row)} entries for {n} elements")
         if any(None in row for row in mul):
             raise ValidationError(
                 Violation("MissingProduct", mul_key(labels[i], labels[j]))
@@ -513,6 +522,18 @@ class FiniteMultLattice:
             )
         # the one copy; a row that is already a tuple is kept as it is
         mul = tuple(map(tuple, mul))
+        try:
+            in_range = max(bytes(itertools.chain.from_iterable(mul))) < n
+        except (TypeError, ValueError):  # a value that is no int in range(256)
+            in_range = False
+        if not in_range:
+            i, j, v = next(
+                (i, j, v)
+                for i, row in enumerate(mul)
+                for j, v in enumerate(row)
+                if not isinstance(v, int) or not 0 <= v < n
+            )
+            raise InvalidSpec(f"mul[{i}][{j}] = {v!r} is not an element of range({n})")
         viols = multiplication_violations(labels, order, mul, bottom, top)
         if viols:
             raise ValidationError(viols)

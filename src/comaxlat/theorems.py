@@ -21,7 +21,6 @@ evaluated concurrently; the report lists them in the fixed order of
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -229,25 +228,67 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
     increasing sequences (b : c^k); (ii) (radical(b) : c) equals the
     radical of the join of the (b : c^k).
 
+    Three identities of the tables decide the formulas, and are checked
+    here (:func:`_quotient_sequences_increase`): the join and meet
+    tables are those of the order, every power chain decreases, and
+    every quotient row is antitone along the lower covers, so along the
+    order.  Then every (b : c^k) increases in k, and so does the
+    sequence of meets of two of them padded with their last terms.  A
+    join of an increasing sequence, folded from the bottom, is its last
+    term, so part (i) holds for every pair, and part (ii) compares
+    (radical(b) : c) with the radical of (b : c^m), c^m the last power
+    of c, for each (b, c) in index order, as the scan does.  Where an
+    identity fails, :func:`_lemma_formulas_scan` decides both parts.
+    The bounds are the lattice's own.
+    """
+    L = ctx.L
+    if not _quotient_sequences_increase(L):
+        return _lemma_formulas_scan(L)
+    quot, rad, chains = L._quot, L._radical, L._powers
+    for b in L.elements():
+        qb, rb = quot[b], quot[rad[b]]
+        for c, chain in enumerate(chains):
+            if rb[c] != rad[qb[chain[-1]]]:
+                return True, False, (b, c)
+    return True, True, None
+
+
+def _quotient_sequences_increase(L: FiniteMultLattice) -> bool:
+    """Whether the join and meet tables are the order's, every power chain
+    decreases, and every quotient row is antitone along the lower covers."""
+    order = L._order
+    if L._join != order.join or L._meet != order.meet:
+        return False
+    up = order.up
+    for chain in L._powers:
+        for power, nxt in zip(chain, chain[1:]):
+            if not up[nxt] >> power & 1:
+                return False
+    covers = order.covers
+    for row in L._quot:
+        for x, below in enumerate(covers):
+            above = up[row[x]]
+            for y in below:
+                if not above >> row[y] & 1:
+                    return False
+    return True
+
+
+def _lemma_formulas_scan(L: FiniteMultLattice) -> _Result:
+    """Both join formulas on any tables.
+
     Part (i) quantifies over all (b1, c1, b2, c2), but its comparison
     depends only on the two sequences (b1 : c1^k) and (b2 : c2^k), and
     far fewer sequences are distinct than there are pairs (b, c).  The
     comparison is made once per ordered pair of distinct sequences,
     each standing for its first pair (b, c) in index order; visiting
     the sequences in that order reports the same first failing tuple
-    as the loop over all 4-tuples.  When the meet table is symmetric a
-    pair fails exactly when its reverse does, so the first failing
-    ordered pair (i, j) has i <= j, and scanning the pairs with i <= j
-    alone reports the same witness.  When every x v x and 0 v x is x,
-    checked here, a constant sequence joins to its one value, so a pair
-    of constant sequences compares a meet with itself and is skipped;
-    the other pairs keep their order.  Each pair is padded to its own
+    as the loop over all 4-tuples.  Each pair is padded to its own
     longer length (a join need not be idempotent in a table that breaks
     the axioms), so each sequence keeps its padded form and that form's
     join, folded from the bottom as ``L.join`` does, for every length
     it meets.  The quotient, join and meet tables are the lattice's own.
     """
-    L = ctx.L
     els = L.elements()
     bottom = L.bottom
     quot, join, meet, rad = L._quot, L._join, L._meet, L._radical
@@ -284,24 +325,8 @@ def _lemma_formulas(ctx: _Ctx) -> _Result:
                 padded[kk] = form, r
         forms.append((len(seq), padded, first))
 
-    # moving[i]: whether form i is compared with every form, not only
-    # with the moving ones.  When join[x][x] == x and join[bottom][x] == x,
-    # checked here, a constant sequence (x, ..., x) joins to x, so a pair
-    # of constant sequences compares meet[x][y] with itself and is skipped.
-    if all(join[x][x] == x == join[bottom][x] for x in els):
-        moving = [seq.count(seq[0]) != len(seq) for seq in firsts]
-    else:
-        moving = [True] * len(forms)
-    movers = [i for i, m in enumerate(moving) if m]
-    moving_forms = [forms[i] for i in movers]
-    symmetric = all(map(operator.eq, meet, zip(*meet)))
-    for i, (len1, padded1, first1) in enumerate(forms):
-        lo = i if symmetric else 0
-        if moving[i]:
-            partners = forms[lo:]
-        else:
-            partners = moving_forms[bisect.bisect_left(movers, lo):]
-        for len2, padded2, first2 in partners:
+    for len1, padded1, first1 in forms:
+        for len2, padded2, first2 in forms:
             kk = len1 if len1 > len2 else len2
             s1, j1 = padded1[kk]
             s2, j2 = padded2[kk]
@@ -319,50 +344,78 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     For pairwise comaximal proper parts with product a, every b with
     the same radical as a is uniquely a product of pairwise comaximal
     parts matching the parts' radicals; uniqueness is confirmed by a
-    brute-force scan.  When the product is a radical element, the parts
-    are radical too.  The decompositions are the pairwise comaximal
-    sets of proper elements, walked as cliques of the comaximality
-    graph (:func:`comaximal_sets`), so their number bounds the cost.
-    Each decomposition meets the lift's preconditions, so its lift is
-    built once, unchecked, for all its b.  The scan draws only
-    candidates above b, as every factor of b is, from the mask of the
-    elements with the wanted radical, and its matches must be the
-    lifted tuple alone: a lifted tuple that breaks the product, the
-    radicals or comaximality is never a match.  The matches depend on
-    b and the parts' radicals only, so each such pair is scanned once
-    per call.  Products fold from the top as ``L.mul`` does, and each
-    pair is tested as ``join[x][y]`` with x before y in the tuple.
+    brute-force scan (:func:`_lift_matches`).  When the product is a
+    radical element, the parts are radical too.  The decompositions are
+    the pairwise comaximal sets of proper elements, walked as cliques
+    of the comaximality graph (:func:`comaximal_sets`), so their number
+    bounds the cost.  Each decomposition meets the lift's
+    preconditions, so its lift is built once, unchecked, for all its b,
+    and its matches must be the lifted tuple alone: a lifted tuple that
+    breaks the product, the radicals or comaximality is never a match.
+    The matches depend on b and the parts' radicals only, so each such
+    pair is scanned once per call.  When the top row of the product
+    table is the identity, checked here, a one-part decomposition (p,)
+    has product p, and the scan would find (b,) alone, so the lift of b
+    must be b and nothing is scanned.
     """
     L = ctx.L
-    rad, up, mul, join, top = L._radical, L._up, L._mul, L._join, L.top
+    rad, mul, top = L._radical, L._mul, L.top
     # same_radical[r]: the mask of the elements with radical r
     same_radical: dict[Elt, int] = {}
     for d in L.elements():
         same_radical[rad[d]] = same_radical.get(rad[d], 0) | 1 << d
     members = {r: _members(mask) for r, mask in same_radical.items()}
+    identity = mul[top] == tuple(L.elements())
+    # unlifted: the mask of the b whose one-part lift is not b (a part's
+    # cofactor is the empty product, so one lift serves every part)
+    unlifted = None
     matches: dict[tuple[Elt, tuple[Elt, ...]], list[tuple[Elt, ...]]] = {}
     for parts, a in _comaximal_walk(L, L.proper_elements()):
         ra = rad[a]
         rads = tuple(rad[p] for p in parts)
         if a == ra and any(p != r for p, r in zip(parts, rads)):
             return True, False, parts
+        if identity and len(parts) == 1:
+            if unlifted is None:
+                lift = _radical_lift(L, parts)
+                unlifted = _mask(b for b in L.elements() if lift(b) != [b])
+            wrong = same_radical[ra] & unlifted
+            if wrong:
+                return True, False, ((wrong & -wrong).bit_length() - 1, *parts)
+            continue
         lift = _radical_lift(L, parts)
         for b in members[ra]:
             key = b, rads
             if key not in matches:
-                found = matches[key] = []
-                candidates = [_members(same_radical[r] & up[b]) for r in rads]
-                for tup in itertools.product(*candidates):
-                    prod = top
-                    for x in tup:
-                        prod = mul[prod][x]
-                    if prod == b and all(
-                        join[x][y] == top for x, y in itertools.combinations(tup, 2)
-                    ):
-                        found.append(tup)
+                matches[key] = _lift_matches(L, b, rads, same_radical)
             if matches[key] != [tuple(lift(b))]:
                 return True, False, (b, *parts)
     return True, True, None
+
+
+def _lift_matches(
+    L: FiniteMultLattice, b: Elt, rads: tuple[Elt, ...], same_radical: dict[Elt, int]
+) -> list[tuple[Elt, ...]]:
+    """The pairwise comaximal tuples with product b whose i-th entry has
+    radical ``rads[i]``, in the order of ``itertools.product``.
+
+    The candidates lie above b, as every factor of b does, and come from
+    the masks ``same_radical`` of the elements with each radical.
+    Products fold from the top as ``L.mul`` does, and each pair is
+    tested as ``join[x][y]`` with x before y in the tuple.
+    """
+    up, mul, join, top = L._up, L._mul, L._join, L.top
+    found = []
+    candidates = [_members(same_radical[r] & up[b]) for r in rads]
+    for tup in itertools.product(*candidates):
+        prod = top
+        for x in tup:
+            prod = mul[prod][x]
+        if prod == b and all(
+            join[x][y] == top for x, y in itertools.combinations(tup, 2)
+        ):
+            found.append(tup)
+    return found
 
 
 def _thm_cpr_criterion(ctx: _Ctx) -> _Result:

@@ -692,12 +692,13 @@ def _factors_naive(L: FiniteMultLattice, a: int, kind: FactorKind) -> bool:
     return a != L.top and bool(oracle_factorizations_naive(L, a, kind))
 
 
-def _generator_products_factor_naive(L: FiniteMultLattice, gens) -> bool:
-    """Every product of two proper generators has a prime-radical factorization."""
+def _generator_products_factor_naive(
+    L: FiniteMultLattice, gens, kind: FactorKind = FactorKind.CPR
+) -> bool:
+    """Every product of two proper generators has a factorization of ``kind``,
+    by default a prime-radical one."""
     proper = [g for g in gens if g != L.top]
-    return all(
-        _factors_naive(L, L.mul2(g, h), FactorKind.CPR) for g in proper for h in proper
-    )
+    return all(_factors_naive(L, L.mul2(g, h), kind) for g in proper for h in proper)
 
 
 def cor_closure_naive(L: FiniteMultLattice, gens=()):
@@ -752,6 +753,122 @@ def lemma_cq_sufficient_naive(L: FiniteMultLattice, gens=()):
         return False, None, None
     cq = all(_factors_naive(L, a, FactorKind.CQ) for a in L.proper_elements())
     return True, cq, None
+
+
+# Twins of the five checkers whose hypotheses hold on the 2-chain at most
+# (see their docstrings).  Each hypothesis is decided from its definition:
+# the domain by a prime bottom, principality by its two identities over all
+# pairs, generation by joins, quotients by the join of every a with
+# a*x <= y, and products of primes by multiplying primes.
+
+
+def domain_naive(L: FiniteMultLattice) -> bool:
+    """The bottom is prime."""
+    return is_prime_naive(L, L.bottom)
+
+
+def principal_naive(L: FiniteMultLattice, x: int) -> bool:
+    """x is meet-principal and join-principal."""
+    return meet_principal_naive(L, x) and join_principal_naive(L, x)
+
+
+def products_of_primes_naive(L: FiniteMultLattice) -> set[int]:
+    """The products of finitely many primes, the empty product (the top)
+    included.  A shortest product has strictly decreasing partial
+    products, so products of at most n - 1 primes are all of them."""
+    primes = [p for p in L.elements() if is_prime_naive(L, p)]
+    products = {L.top}
+    for _ in range(L.n - 1):
+        products |= {L.mul2(x, p) for x in products for p in primes}
+    return products
+
+
+def dedekind_naive(L: FiniteMultLattice) -> bool:
+    """A domain generated by its principal elements in which every element
+    is a finite product of primes."""
+    principal = [x for x in L.elements() if principal_naive(L, x)]
+    return (
+        domain_naive(L)
+        and generates_naive(L, principal)
+        and products_of_primes_naive(L) == set(L.elements())
+    )
+
+
+def _all_factor_naive(L: FiniteMultLattice, kind: FactorKind) -> bool:
+    """Every proper element has a factorization of ``kind``."""
+    return all(_factors_naive(L, a, kind) for a in L.proper_elements())
+
+
+def cor_cq_dimension_naive(L: FiniteMultLattice, gens=()):
+    """A domain of more than two elements generated by its join-principal
+    elements has a primary factorization for every proper element iff its
+    dimension is one."""
+    join_principal = [j for j in L.elements() if join_principal_naive(L, j)]
+    if not (domain_naive(L) and L.n > 2 and generates_naive(L, join_principal)):
+        return False, None, None
+    return True, _all_factor_naive(L, FactorKind.CQ) == (dimension_naive(L) == 1), None
+
+
+def thm_cq_generators_naive(L: FiniteMultLattice, gens):
+    """For a domain of more than two elements generated by ``gens``, with
+    (a*b : a) below the radical of b for all nonzero generators a and b,
+    three statements agree: every product of two proper generators has a
+    primary factorization, the dimension is one, and every proper element
+    has a primary factorization."""
+    nonzero = [g for g in gens if g != L.bottom]
+    if not (
+        domain_naive(L)
+        and L.n > 2
+        and generates_naive(L, gens)
+        and all(
+            L.leq(quotient_table_naive(L)[L.mul2(a, b)][a], radical_by_nilpotents(L, b))
+            for a in nonzero
+            for b in nonzero
+        )
+    ):
+        return False, None, None
+    c1 = _generator_products_factor_naive(L, gens, FactorKind.CQ)
+    c2 = dimension_naive(L) == 1
+    c3 = _all_factor_naive(L, FactorKind.CQ)
+    return True, c1 == c2 == c3, None
+
+
+def lemma_prime_principal_naive(L: FiniteMultLattice, gens=()):
+    """A domain generated by its principal elements, whose primes are all
+    principal, has every element a finite product of primes."""
+    principal = [x for x in L.elements() if principal_naive(L, x)]
+    primes = [p for p in L.elements() if is_prime_naive(L, p)]
+    if not (
+        domain_naive(L)
+        and generates_naive(L, principal)
+        and set(primes) <= set(principal)
+    ):
+        return False, None, None
+    return True, products_of_primes_naive(L) == set(L.elements()), None
+
+
+def thm_dedekind_naive(L: FiniteMultLattice, gens=()):
+    """For a domain generated by its principal elements: every element is a
+    finite product of primes iff every principal element other than the
+    bounds has a prime-power factorization."""
+    principal = [x for x in L.elements() if principal_naive(L, x)]
+    if not (domain_naive(L) and generates_naive(L, principal)):
+        return False, None, None
+    lhs = products_of_primes_naive(L) == set(L.elements())
+    rhs = all(
+        _factors_naive(L, a, FactorKind.CPP)
+        for a in principal
+        if a not in (L.bottom, L.top)
+    )
+    return True, lhs == rhs, None
+
+
+def dedekind_dim1_naive(L: FiniteMultLattice, gens=()):
+    """A domain generated by principal elements in which every element is a
+    finite product of primes has dimension at most one."""
+    if not dedekind_naive(L):
+        return False, None, None
+    return True, dimension_naive(L) <= 1, None
 
 
 def boolean_lattice(k: int) -> FiniteMultLattice:

@@ -476,6 +476,48 @@ def test_from_tables_refuses_out_of_range_input(up, bottom, top, labels, message
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "mul, message",
+    [
+        ([[0, 0, 0], [0, 1, 1]], "mul has 2 rows for 3 elements"),
+        ([[0, 0, 0], [0, 1, 1], [0, 1, 2], [0, 1, 2]], "mul has 4 rows for 3 elements"),
+        ([[0, 0, 0], [0, 1, 1], [0, 1, 2, 5]], "mul[2] has 4 entries for 3 elements"),
+        ([[0, 0, 0], [0, 1], [0, 1, 2]], "mul[1] has 2 entries for 3 elements"),
+        ([[0, 0, 0], [0, 1, 1], [0, 1, 3]], "mul[2][2] = 3 is not an element of range(3)"),
+        ([[0, 0, -1], [0, 1, 1], [-1, 1, 2]],
+         "mul[0][2] = -1 is not an element of range(3)"),
+        ([[0, 0, 0], [0, 1, 256], [0, 256, 2]],
+         "mul[1][2] = 256 is not an element of range(3)"),
+        ([[0, 0, 0], [0, 1.0, 1], [0, 1, 2]],
+         "mul[1][1] = 1.0 is not an element of range(3)"),
+        ([[0, 0, 0], [0, 1, "1"], [0, 1, 2]],
+         "mul[1][2] = '1' is not an element of range(3)"),
+    ],
+)
+def test_from_tables_refuses_bad_product_cells(mul, message):
+    with pytest.raises(InvalidSpec) as exc:
+        FiniteMultLattice.from_tables(_CHAIN3_UP, mul, 0, 2)
+    assert str(exc.value) == message
+
+
+def test_out_of_range_product_cells_are_refused(universe5):
+    # one symmetric cell set to -1, n, n + 1, 255 or 256 used to raise
+    # IndexError or ValueError, or to pass to the axiom check; the gate
+    # names the cell
+    cases = 0
+    for L in universe5:
+        for x, y in itertools.combinations_with_replacement(L.elements(), 2):
+            for v in (-1, L.n, L.n + 1, 255, 256):
+                mul = [list(row) for row in L._mul]
+                mul[x][y] = mul[y][x] = v
+                with pytest.raises(InvalidSpec) as exc:
+                    FiniteMultLattice.from_tables(L._up, mul, L.bottom, L.top)
+                want = f"mul[{x}][{y}] = {v} is not an element of range({L.n})"
+                assert str(exc.value) == want
+                cases += 1
+    assert cases == 2375
+
+
 # -- order and monoid operations ----------------------------------------------
 
 

@@ -14,19 +14,25 @@ from bruteforce import (
     comaximal_subsets_naive,
     cor_closure_naive,
     cor_compact_equivalences_naive,
+    cor_cq_dimension_naive,
+    dedekind_dim1_naive,
     factor_kinds_naive,
     larger_lattices,
     lemma_comaximal_naive,
     lemma_cq_sufficient_naive,
     lemma_formulas_naive,
+    lemma_prime_principal_naive,
     oracle_factorizations_naive,
     product_lattice,
     thm_cpr_criterion_naive,
     thm_cpr_sufficiency_naive,
     thm_cq_characterization_naive,
+    thm_cq_generators_naive,
+    thm_dedekind_naive,
     thm_treed_from_generators_naive,
     thm_unique_lift_naive,
 )
+from comaxlat import enumeration, theorems
 from comaxlat.core import LatticeSpec, validate_lattice
 from comaxlat.enumeration import enumerated_universe
 from comaxlat.factorize import (
@@ -208,6 +214,11 @@ _GENERATOR_TWINS = {
     "thm_treed_from_generators": thm_treed_from_generators_naive,
     "cor_compact_equivalences": cor_compact_equivalences_naive,
     "lemma_cq_sufficient": lemma_cq_sufficient_naive,
+    "cor_cq_dimension": cor_cq_dimension_naive,
+    "thm_cq_generators": thm_cq_generators_naive,
+    "lemma_prime_principal": lemma_prime_principal_naive,
+    "thm_dedekind": thm_dedekind_naive,
+    "dedekind_dim1": dedekind_dim1_naive,
 }
 
 
@@ -228,18 +239,7 @@ def _assert_generator_twin_matches(L, tid, G="all", gens=None):
 
 def _assert_kernels_match_naive(L) -> set[str]:
     """Compare each kernel with its naive twin; return the failing entries."""
-    failing = set()
-    for tid, naive in _NAIVE_ENTRIES.items():
-        hyp, concl, witness = naive(L)
-        labels = None if witness is None else tuple(L.label(w) for w in witness)
-        e = check_entry(L, tid)
-        assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == (
-            hyp,
-            concl,
-            labels,
-        ), (L.name, tid)
-        if concl is False:
-            failing.add(tid)
+    failing = _assert_entries_match_naive(L)
     assert _factor_kinds(L) == factor_kinds_naive(L), L.name
     sets = comaximal_subsets_naive(L)
     assert list(comaximal_sets(L, L.proper_elements())) == sets
@@ -257,6 +257,24 @@ def _assert_kernels_match_naive(L) -> set[str]:
     return failing
 
 
+def _assert_entries_match_naive(L, tids=tuple(_NAIVE_ENTRIES)) -> set[str]:
+    """Compare the entries ``tids`` of _NAIVE_ENTRIES with their twins;
+    return the failing ones."""
+    failing = set()
+    for tid in tids:
+        hyp, concl, witness = _NAIVE_ENTRIES[tid](L)
+        labels = None if witness is None else tuple(L.label(w) for w in witness)
+        e = check_entry(L, tid)
+        assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == (
+            hyp,
+            concl,
+            labels,
+        ), (L.name, tid)
+        if concl is False:
+            failing.add(tid)
+    return failing
+
+
 def test_kernels_match_naive_twins(universe_deep, all_presets):
     # the Boolean lattice has many comaximal sets of each size, so the
     # order of the clique walk is compared as well as its contents
@@ -269,9 +287,9 @@ def test_kernels_match_naive_twins(universe_deep, all_presets):
 
 @pytest.mark.parametrize("universe", ["universe_deep", "universe7"])
 def test_generator_checkers_match_naive_twins(request, universe, all_presets):
-    # cor_closure, thm_treed_from_generators, cor_compact_equivalences and
-    # lemma_cq_sufficient against twins written from their statements, for
-    # the generator sets all, principal and the join-irreducibles
+    # the nine checkers of _GENERATOR_TWINS against twins written from
+    # their statements, for the generator sets all, principal and the
+    # join-irreducibles
     lattices = [*request.getfixturevalue(universe), *all_presets, *larger_lattices()]
     outcomes = Counter()
     for L in lattices:
@@ -280,9 +298,13 @@ def test_generator_checkers_match_naive_twins(request, universe, all_presets):
             for tid in _GENERATOR_TWINS:
                 concl = _assert_generator_twin_matches(L, tid, G, gens)
                 outcomes[tid, concl] += 1
-    # every entry is applicable somewhere and never fails on a lattice
+    # no entry fails on a lattice, and every entry whose hypotheses can
+    # hold on a finite lattice is applicable somewhere
     for tid in _GENERATOR_TWINS:
-        assert outcomes[tid, True] > 0 and outcomes[tid, False] == 0, (tid, outcomes)
+        assert outcomes[tid, False] == 0, (tid, outcomes)
+        assert (outcomes[tid, True] > 0) == (tid not in NEVER_APPLICABLE), (
+            tid, outcomes
+        )
 
 
 def _with_cells(L, cells):
@@ -361,14 +383,58 @@ def test_kernels_match_naive_twins_on_one_comaximal_cell():
         assert failing[tid] > 0, (tid, failing)
 
 
+def _guard_breaking_cells(L, rng):
+    """``(guard, kernel, cells)`` for each identity that lemma_formulas or
+    thm_unique_lift checks before its fast path, with the cells of a copy
+    of L that break it: a power c^k not below c^(k-1); a quotient (0 : x)
+    not below (0 : y), y a lower cover of x, in three cases; a meet cell
+    off the order's table; a top-row product cell, so that the top is no
+    identity.  Were the quotient identity not checked, a broken quotient
+    cell would change the verdict or witness of lemma_formulas most often
+    in the row of the bottom: for 31 of its 292 such cells in the size-5
+    universe and B3, against 2 of 306 in the other rows."""
+    up, covers, n = L._order.up, L._order.covers, L.n
+    powers = [
+        (c, k, v)
+        for c, chain in enumerate(L._powers)
+        for k in range(1, len(chain))
+        for v in L.elements()
+        if not up[v] >> chain[k - 1] & 1
+    ]
+    row = L._quot[L.bottom]
+    quots = [
+        (L.bottom, x, v)
+        for x in L.elements()
+        for y in covers[x]
+        for v in L.elements()
+        if not up[v] >> row[y] & 1
+    ]
+    x, y = rng.randrange(n), rng.randrange(n)
+    meet = rng.choice([v for v in L.elements() if v != L._meet[x][y]])
+    col = rng.randrange(n)
+    top = rng.choice([v for v in L.elements() if v != col])
+    cases = [
+        ("meet", "lemma_formulas", [("_meet", x, y, meet)]),
+        ("top row", "thm_unique_lift", [("_mul", L.top, col, top)]),
+    ]
+    if powers:
+        cases.append(("powers", "lemma_formulas", [("_powers", *rng.choice(powers))]))
+    for cell in rng.sample(quots, min(3, len(quots))):
+        cases.append(("quotient", "lemma_formulas", [("_quot", *cell)]))
+    return cases
+
+
 def test_kernels_match_naive_twins_on_broken_identities(universe5):
-    # Two kernels skip work that an identity of the tables decides, and
-    # check the identity first: lemma_formulas skips the pairs of constant
-    # sequences when join[x][x] == x and join[bottom][x] == x, and
-    # lemma_comaximal decides k = 3 by k = 2 when the top row of the
-    # product table is the identity.  One cell breaking an identity must
-    # send the kernel back to its full scan.  A top-row product cell
-    # changes its meet cell with it, as in the corrupted tables above.
+    # Three kernels skip work that an identity of the tables decides, and
+    # check the identity first: lemma_formulas reads each sequence's last
+    # term when the join and meet tables are the order's, the power chains
+    # decrease and the quotient rows are antitone; thm_unique_lift skips
+    # the one-part scans, and lemma_comaximal decides k = 3 by k = 2, when
+    # the top row of the product table is the identity.  One cell breaking
+    # an identity must send the kernel back to its full scan.  The join
+    # cells x v x and 0 v x are off the order's table too.  A top-row
+    # product cell changes its meet cell with it, as in the corrupted
+    # tables above, except in the guard cases for thm_unique_lift.
     rng = random.Random(20215)
     failing = Counter()
     B3 = boolean_lattice(3)
@@ -380,8 +446,14 @@ def test_kernels_match_naive_twins_on_broken_identities(universe5):
                 _perturbed(L, rng, ("_mul", "_meet"), row=L.top, col=x),
             ):
                 failing.update(_assert_kernels_match_naive(C))
+        for guard, tid, cells in _guard_breaking_cells(L, rng):
+            C = _with_cells(L, cells)
+            failing.update((guard, t) for t in _assert_entries_match_naive(C, (tid,)))
     assert failing["lemma_formulas"] > 0, failing
     assert failing["lemma_comaximal"] > 0, failing
+    for guard in ("meet", "powers", "quotient"):
+        assert failing[guard, "lemma_formulas"] > 0, (guard, failing)
+    assert failing["top row", "thm_unique_lift"] > 0, failing
     # With every other row intact, k = 2 decides k = 3 even on a broken
     # top row, so these cases break row x too: with 1*x = 1, k = 2 never
     # reads row x, while k = 3 reaches it as c1*c2 with c1 != x, and
@@ -396,6 +468,24 @@ def test_kernels_match_naive_twins_on_broken_identities(universe5):
         _assert_kernels_match_naive(C)
         triples += len(check_entry(C, "lemma_comaximal").witness or ()) == 4
     assert triples > 0
+
+
+def test_valid_lattices_take_the_fast_paths(monkeypatch, universe_deep, all_presets):
+    # On a valid lattice every identity above holds, so lemma_formulas
+    # never scans and thm_unique_lift never scans a one-part decomposition.
+    def no_scan(*args):
+        raise AssertionError("lemma_formulas scanned a valid lattice")
+
+    scan = theorems._lift_matches
+
+    def lift_matches(L, b, rads, same_radical):
+        assert len(rads) > 1, "thm_unique_lift scanned a one-part decomposition"
+        return scan(L, b, rads, same_radical)
+
+    monkeypatch.setattr(theorems, "_lemma_formulas_scan", no_scan)
+    monkeypatch.setattr(theorems, "_lift_matches", lift_matches)
+    for L in [*universe_deep, *all_presets, *larger_lattices(), *relabeled_products()]:
+        assert run_theorem_suite(L).overall_pass, L.name
 
 
 def test_unique_lift_fails_on_a_wrong_quotient_by_the_top(universe5):
@@ -512,32 +602,41 @@ SIZE7_TALLY = {
 
 
 def test_size7_theorem_suite_tally(universe7):
-    tally = Counter()
-    for L in universe7:
-        if L.n != 7:
-            continue
-        report = run_theorem_suite(L)
+    reports = [run_theorem_suite(L) for L in universe7 if L.n == 7]
+    for report in reports:
         assert report.overall_pass, report
-        for e in report.entries:
-            verdict = (
-                "na" if e.conclusion_holds is None
-                else "pass" if e.conclusion_holds else "fail"
-            )
-            tally[e.theorem_id, verdict] += 1
-    assert {
-        tid: tuple(tally[tid, v] for v in ("pass", "fail", "na"))
-        for tid in THEOREM_IDS
-    } == SIZE7_TALLY
+    assert _tally(reports) == SIZE7_TALLY
 
 
-def _checker_output_digest(lattices) -> str:
+# The same tally over the 4,712 size-8 lattices, checked under --size8.
+SIZE8_TALLY = {
+    "lemma_comaximal": (4712, 0, 0),
+    "lemma_formulas": (4712, 0, 0),
+    "thm_unique_lift": (4712, 0, 0),
+    "thm_cpr_criterion": (4712, 0, 0),
+    "cor_closure": (4539, 0, 173),
+    "thm_treed_from_generators": (4539, 0, 173),
+    "cor_compact_equivalences": (4712, 0, 0),
+    "thm_cpr_sufficiency": (4539, 0, 173),
+    "thm_cq_characterization": (4712, 0, 0),
+    "cor_cq_dimension": (0, 0, 4712),
+    "lemma_cq_sufficient": (191, 0, 4521),
+    "thm_cq_generators": (0, 0, 4712),
+    "lemma_prime_principal": (0, 0, 4712),
+    "thm_dedekind": (0, 0, 4712),
+    "dedekind_dim1": (0, 0, 4712),
+}
+
+
+def _checker_output_digest(lattices, selectors=("all", "principal", None)) -> str:
     """sha256 of ``repr`` of one row per lattice, in the given order.
 
-    A row is ``(name, suites, report)``: ``suites`` holds, for the
-    generator selectors ``"all"``, ``"principal"`` and
-    ``L.join_irreducibles()`` in that order, the tuple of every
-    checker's ``(theorem_id, hypotheses_hold, conclusion_holds,
-    witness)`` in suite order, and ``report`` is ``classify_lattice(L)``.
+    A row is ``(name, suites, report)``: ``suites`` holds, for each
+    generator selector in ``selectors`` in that order (by default
+    ``"all"``, ``"principal"`` and ``L.join_irreducibles()``, written
+    ``None``), the tuple of every checker's ``(theorem_id,
+    hypotheses_hold, conclusion_holds, witness)`` in suite order, and
+    ``report`` is ``classify_lattice(L)``.
     """
     rows = []
     for L in lattices:
@@ -546,10 +645,44 @@ def _checker_output_digest(lattices) -> str:
                 (e.theorem_id, e.hypotheses_hold, e.conclusion_holds, e.witness)
                 for e in run_theorem_suite(L, G).entries
             )
-            for G in ("all", "principal", L.join_irreducibles())
+            for G in (L.join_irreducibles() if G is None else G for G in selectors)
         )
         rows.append((L.name, suites, classify_lattice(L)))
     return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _tally(reports) -> dict[str, tuple[int, int, int]]:
+    """Per checker, how many reports pass, fail and are not applicable."""
+    tally = Counter()
+    for report in reports:
+        for e in report.entries:
+            verdict = (
+                "na" if e.conclusion_holds is None
+                else "pass" if e.conclusion_holds else "fail"
+            )
+            tally[e.theorem_id, verdict] += 1
+    return {
+        tid: tuple(tally[tid, v] for v in ("pass", "fail", "na"))
+        for tid in THEOREM_IDS
+    }
+
+
+def relabeled_products():
+    """Four products A x B of 8 to 20 elements from the size-4 universe and
+    the presets, each with its elements shuffled, so that the bounds and
+    the order of the elements are not the product's own."""
+    rng = random.Random(35)
+    components = [*enumerated_universe(4), *(preset(p) for p in PRESET_NAMES)]
+    out = []
+    while len(out) < 4:
+        A, B = rng.choice(components), rng.choice(components)
+        if not 8 <= A.n * B.n <= 20:
+            continue
+        spec = product_lattice(A, B).to_spec()
+        elements = list(spec.elements)
+        rng.shuffle(elements)
+        out.append(validate_lattice(dataclasses.replace(spec, elements=tuple(elements))))
+    return out
 
 
 # Checker outputs and classification reports, pinned by
@@ -558,6 +691,10 @@ def _checker_output_digest(lattices) -> str:
 CHECKER_OUTPUT_DIGESTS = {
     "universe5+presets": "e42a62f1506ff8662427e84bd10215ef7d51a5859f0d2b548afc38bd0db5a8f8",
     "universe7": "171844e6d3aa99bb303d69557e057d7bea67e10ab9634e3d5a1def0864a77873",
+    # larger_lattices() and relabeled_products()
+    "larger": "b523267e42a9e5d37ff6fcbd440c221fa72faba8e5d1a7fa6ecaf32018ce7a55",
+    # the 4,712 size-8 lattices, generators "all" only
+    "size8": "c32ce8290d6365942dbb6c6b528bc03e94d68e9eb2fd6e57e6aa822a28096dc3",
 }
 
 
@@ -570,3 +707,23 @@ def test_size7_checker_outputs_frozen(universe7):
     assert len(universe7) == 888
     got = _checker_output_digest(universe7)
     assert got == CHECKER_OUTPUT_DIGESTS["universe7"]
+
+
+def test_larger_checker_outputs_frozen():
+    got = _checker_output_digest([*larger_lattices(), *relabeled_products()])
+    assert got == CHECKER_OUTPUT_DIGESTS["larger"]
+
+
+def test_size8_theorem_suite_frozen(request, monkeypatch):
+    if not request.config.getoption("--size8"):
+        pytest.skip("needs --size8")
+    monkeypatch.setattr(enumeration, "HARD_SIZE_CAP", 8)
+    lattices = [
+        L
+        for order in enumeration.enumerate_bounded_lattices(8)
+        for L in enumeration.enumerate_multiplications(order)
+    ]
+    assert len(lattices) == 4712
+    assert _tally(run_theorem_suite(L) for L in lattices) == SIZE8_TALLY
+    got = _checker_output_digest(lattices, selectors=("all",))
+    assert got == CHECKER_OUTPUT_DIGESTS["size8"]
