@@ -540,7 +540,7 @@ class FiniteMultLattice:
         return cls(name, labels, order, mul, bottom, top)
 
     def _build_caches(self) -> None:
-        # A lattice has 22 instance attributes.  Keep fewer than 30: from 30
+        # A lattice has 23 instance attributes.  Keep fewer than 30: from 30
         # on, CPython 3.11 stops sharing instance-dict keys between lattices,
         # and every attribute lookup in the methods below gets about 1.5x
         # slower.
@@ -550,6 +550,7 @@ class FiniteMultLattice:
         down = self._down
         top = self.top
         bottom = self.bottom
+        self._proper = tuple(x for x in range(n) if x != top)
 
         # quotient table: quot[y][x] = largest a with a*x <= y.  The a with
         # a*x <= y form a down-set closed under joins (the product is
@@ -854,7 +855,7 @@ class FiniteMultLattice:
         return range(self.n)
 
     def proper_elements(self) -> tuple[Elt, ...]:
-        return tuple(x for x in range(self.n) if x != self.top)
+        return self._proper
 
     def to_spec(self) -> LatticeSpec:
         """Serialize back to a spec: covering pairs plus the non-forced products."""

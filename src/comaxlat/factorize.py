@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import Elt, FiniteMultLattice, LatticeError, _mask
 
@@ -264,17 +264,17 @@ def comaximal_sets(
     them; each pair ``(p, q)`` is tested as ``L.comaximal(p, q)`` with
     ``p`` before ``q`` in ``candidates``.
     """
-    for subset, _ in _comaximal_walk(L, candidates):
+    for subset, _, _ in _comaximal_walk(L, candidates):
         yield subset
 
 
 def _comaximal_walk(
     L: FiniteMultLattice, candidates: Sequence[Elt]
-) -> Iterator[tuple[tuple[Elt, ...], Elt]]:
-    """:func:`comaximal_sets`, each set with its product.
+) -> Iterator[tuple[tuple[Elt, ...], Elt, int]]:
+    """:func:`comaximal_sets`, each set with its product and its mask.
 
     The product is ``L.mul`` of the set, folded from the top as the set
-    is extended.
+    is extended; the mask has the bit of each member set.
     """
     m = len(candidates)
     join, mul, top = L._join, L._mul, L.top
@@ -283,29 +283,33 @@ def _comaximal_walk(
     for i, c in enumerate(candidates):
         row = join[c]
         later.append(_mask(j for j in range(i + 1, m) if row[candidates[j]] == top))
-    # each level holds (set, positions that may extend it, product)
-    level = [((c,), later[i], mul[top][c]) for i, c in enumerate(candidates)]
+    # each level holds the (set, product, mask) it yields, and exts the
+    # positions that may extend each set
+    level = [((c,), mul[top][c], 1 << c) for c in candidates]
+    exts = later
     while level:
-        nxt = []
-        for subset, ext, prod in level:
-            yield subset, prod
+        nxt, nxt_exts = [], []
+        for entry, ext in zip(level, exts):
+            yield entry
+            subset, prod, members = entry
             row = mul[prod]
             while ext:
                 j = (ext & -ext).bit_length() - 1
                 c = candidates[j]
-                nxt.append((subset + (c,), ext & later[j], row[c]))
+                nxt.append((subset + (c,), row[c], members | 1 << c))
+                nxt_exts.append(ext & later[j])
                 ext &= ext - 1
-        level = nxt
+        level, exts = nxt, nxt_exts
 
 
-def _oracle_candidates(L: FiniteMultLattice, kind: FactorKind) -> list[Elt]:
-    """The proper elements satisfying the kind's factor condition."""
+def _oracle_candidates(L: FiniteMultLattice, kind: FactorKind) -> int:
+    """The mask of the proper elements satisfying the kind's factor condition."""
     # primary elements and prime powers have prime radicals
-    return [
+    return _mask(
         f
         for f in L.proper_elements()
         if L.is_prime(L.radical(f)) and _kind_failure(L, f, kind) is None
-    ]
+    )
 
 
 def oracle_factorizations(
@@ -324,26 +328,35 @@ def oracle_factorizations(
     """
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
+    walk = _comaximal_walk(L, L.proper_elements())
     return [
         Factorization(kind=kind, target=a, factors=subset)
-        for subset in _oracle_table(L, kind)[a]
+        for subset in _oracle_table(L, kind, walk)[a]
     ]
 
 
 def _oracle_table(
-    L: FiniteMultLattice, kind: FactorKind
+    L: FiniteMultLattice,
+    kind: FactorKind,
+    walk: Iterable[tuple[tuple[Elt, ...], Elt, int]],
 ) -> dict[Elt, list[tuple[Elt, ...]]]:
-    """:func:`oracle_factorizations` of every proper element, from one walk.
+    """:func:`oracle_factorizations` of every proper element, from ``walk``,
+    the :func:`_comaximal_walk` of the proper elements.
 
     Only the factor tuples are kept: the checkers count them, and
     :func:`oracle_factorizations` wraps the row it reads.
 
-    Each set of the walk is filed under its product, so every list
-    keeps the walk's order.
+    Each set of the walk whose members all satisfy the kind's factor
+    condition is filed under its product, so every list keeps the
+    walk's order.  The walk lists its sets by size, then in index order,
+    and so does the part of it on the candidates: each list is what a
+    walk of the candidates alone would give.
     """
     table: dict[Elt, list[tuple[Elt, ...]]] = {a: [] for a in L.proper_elements()}
-    for subset, prod in _comaximal_walk(L, _oracle_candidates(L, kind)):
-        if prod in table:  # the top has no factorization by definition
+    off, top = ~_oracle_candidates(L, kind), L.top
+    for subset, prod, members in walk:
+        # the top has no factorization by definition
+        if not members & off and prod != top:
             table[prod].append(subset)
     return table
 

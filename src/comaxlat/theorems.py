@@ -95,11 +95,29 @@ class TheoremReport:
 
 
 class _Ctx:
-    """Shared per-lattice computations for the checkers."""
+    """Shared per-lattice computations for the checkers, each derived once."""
 
     def __init__(self, L: FiniteMultLattice, gens: tuple[Elt, ...]):
         self.L = L
         self.gens = gens
+
+    @cached_property
+    def walk(self) -> list[tuple[tuple[Elt, ...], Elt, int]]:
+        """The pairwise comaximal sets of the proper elements, each with its
+        product and its mask (:func:`_comaximal_walk`)."""
+        return list(_comaximal_walk(self.L, self.L.proper_elements()))
+
+    @cached_property
+    def cm(self) -> list[int]:
+        """``cm[a]``: the mask of the elements comaximal to ``a``, read as
+        ``join[a][c] == top`` from the lattice's join table."""
+        join, top = self.L._join, self.L.top
+        return [_mask(c for c, v in enumerate(row) if v == top) for row in join]
+
+    @cached_property
+    def mins(self) -> list[int]:
+        """``mins[a]``: the mask of the minimal primes above ``a``."""
+        return [_mask(m) for m in self.L._min_primes]
 
     @cached_property
     def kinds(self) -> dict[FactorKind, int]:
@@ -161,9 +179,9 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     of three.
 
     Everything reads the masks ``cm[a]`` of the elements comaximal to
-    ``a``: the powers of ``b`` are comaximal to all powers of ``a`` iff
-    they lie in the AND of the ``cm`` of those powers, and one pair is
-    iff they meet the OR.  Part (iii) ranges the ci over ``cm[a]`` only,
+    ``a`` (``_Ctx.cm``): the powers of ``b`` are comaximal to all powers
+    of ``a`` iff they lie in the AND of the ``cm`` of those powers, and
+    one pair is iff they meet the OR.  Part (iii) ranges the ci over ``cm[a]`` only,
     since every other tuple fails the hypothesis, and folds the product
     from the top as ``L.mul`` does.  Visiting the ci in index order
     reports the same first failing tuple as the full product over the
@@ -173,11 +191,10 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     ``|cm[a]|**3`` steps.  The quotient, join, meet and product tables,
     the power chains and the radicals are the lattice's own.
     """
-    L = ctx.L
+    L, cm = ctx.L, ctx.cm
     els = L.elements()
-    quot, join, meet, mul = L._quot, L._join, L._meet, L._mul
+    quot, meet, mul = L._quot, L._meet, L._mul
     top, chains, rad = L.top, L._powers, L._radical
-    cm = [_mask(c for c, v in enumerate(row) if v == top) for row in join]
     chain = [_mask(powers) for powers in chains]
     every = [reduce(operator.and_, map(cm.__getitem__, p)) for p in chains]
     some = [reduce(operator.or_, map(cm.__getitem__, p)) for p in chains]
@@ -346,9 +363,9 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     parts matching the parts' radicals; uniqueness is confirmed by a
     brute-force scan (:func:`_lift_matches`).  When the product is a
     radical element, the parts are radical too.  The decompositions are
-    the pairwise comaximal sets of proper elements, walked as cliques
-    of the comaximality graph (:func:`comaximal_sets`), so their number
-    bounds the cost.  Each decomposition meets the lift's
+    pairwise comaximal sets of proper elements, walked as cliques of
+    the comaximality graph once per lattice (``_Ctx.walk``), so their
+    number bounds the cost.  Each decomposition meets the lift's
     preconditions, so its lift is built once, unchecked, for all its b,
     and its matches must be the lifted tuple alone: a lifted tuple that
     breaks the product, the radicals or comaximality is never a match.
@@ -370,10 +387,10 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     # cofactor is the empty product, so one lift serves every part)
     unlifted = None
     matches: dict[tuple[Elt, tuple[Elt, ...]], list[tuple[Elt, ...]]] = {}
-    for parts, a in _comaximal_walk(L, L.proper_elements()):
+    for parts, a, _ in ctx.walk:
         ra = rad[a]
-        rads = tuple(rad[p] for p in parts)
-        if a == ra and any(p != r for p, r in zip(parts, rads)):
+        rads = tuple(map(rad.__getitem__, parts))
+        if a == ra and parts != rads:
             return True, False, parts
         if identity and len(parts) == 1:
             if unlifted is None:
@@ -424,16 +441,23 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
     (i) an element has a prime-radical factorization iff its minimal
     primes are pairwise comaximal, and the factorization is unique;
     (ii) all elements factor iff the lattice is treed.  The left-hand
-    sides use the brute-force scan, the right-hand sides the spectrum.
+    sides use the brute-force scan, the right-hand sides the spectrum:
+    Min(a) is pairwise comaximal when each of its primes p has every
+    later one in ``cm[p]``, that is ``join[p][q] == top`` for p before q.
     """
     L = ctx.L
-    oracle = _oracle_table(L, FactorKind.CPR)
+    oracle = _oracle_table(L, FactorKind.CPR, ctx.walk)
     cpr = ctx.kinds[FactorKind.CPR]
-    join, top = L._join, L.top
+    cm, mins = ctx.cm, ctx.mins
     for a in L.proper_elements():
         found = oracle[a]
-        mins = L.min_primes(a)
-        comax = all(join[p][q] == top for p, q in itertools.combinations(mins, 2))
+        later = mins[a]
+        comax = True
+        for p in L.min_primes(a):
+            later ^= 1 << p
+            if later & ~cm[p]:
+                comax = False
+                break
         if len(found) > 1 or (len(found) == 1) != comax:
             return True, False, (a,)
         if bool(cpr >> a & 1) != comax:
@@ -451,8 +475,7 @@ def _cor_closure(ctx: _Ctx) -> _Result:
     L = ctx.L
     if not ctx.profile.is_treed:
         return False, None, None
-    cpr = ctx.kinds[FactorKind.CPR]
-    mins = [_mask(L.min_primes(a)) for a in L.elements()]
+    cpr, mins = ctx.kinds[FactorKind.CPR], ctx.mins
     mul, meet, join = L._mul, L._meet, L._join
     for x, y in itertools.combinations_with_replacement(_members(cpr), 2):
         allowed = mins[x] | mins[y]
@@ -532,7 +555,7 @@ def _thm_cq_characterization(ctx: _Ctx) -> _Result:
     factorizations do and every element with prime radical is primary.
     The left side is a brute-force scan, the right side constructive."""
     L = ctx.L
-    oracle = _oracle_table(L, FactorKind.CQ)
+    oracle = _oracle_table(L, FactorKind.CQ, ctx.walk)
     lhs = all(len(oracle[a]) == 1 for a in L.proper_elements())
     rhs = ctx.classification.is_cpr_lattice and all(
         L.is_primary(a)
@@ -659,17 +682,25 @@ _CHECKERS = {
 }
 THEOREM_IDS = tuple(_CHECKERS)
 
+# The entry of each checker and outcome without a witness.  Entries are
+# frozen, so the suite hands these out instead of building equal ones.
+# The checkers return exact bools: a 0 would find the entry of False.
+_ENTRIES = {
+    (tid, hyp, concl): TheoremEntry(tid, hyp, concl)
+    for tid in THEOREM_IDS
+    for hyp, concl in ((False, None), (True, True), (True, False))
+}
+
 
 def _run_one(ctx: _Ctx, theorem_id: str) -> TheoremEntry:
     hyp, concl, witness = _CHECKERS[theorem_id](ctx)
-    labels = (
-        tuple(ctx.L.label(w) for w in witness) if witness is not None else None
-    )
+    if witness is None:
+        return _ENTRIES[theorem_id, hyp, concl]
     return TheoremEntry(
         theorem_id=theorem_id,
         hypotheses_hold=hyp,
         conclusion_holds=concl,
-        witness=labels,
+        witness=tuple(ctx.L.label(w) for w in witness),
     )
 
 

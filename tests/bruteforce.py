@@ -478,21 +478,30 @@ def lemma_comaximal_naive(L: FiniteMultLattice):
 
 
 def lemma_formulas_naive(L: FiniteMultLattice):
+    """Both join formulas over every (b, c) and every (b1, c1, b2, c2).
+
+    A comparison of part (i) reads the two sequences (b1 : c1^k) and
+    (b2 : c2^k) and nothing else, so its outcome is kept per pair of
+    sequences; every 4-tuple is still visited in index order.
+    """
     els = range(L.n)
+    seqs = {}
     for b, c in itertools.product(els, repeat=2):
-        seq = [L.quotient(b, ck) for ck in L.power_chain(c)]
+        seq = seqs[b, c] = tuple(L.quotient(b, ck) for ck in L.power_chain(c))
         rhs = L.radical(L.join(seq))
         if L.quotient(L.radical(b), c) != rhs:
             return True, False, (b, c)
-    for b1, c1, b2, c2 in itertools.product(els, repeat=4):
-        k1 = [L.quotient(b1, ck) for ck in L.power_chain(c1)]
-        k2 = [L.quotient(b2, ck) for ck in L.power_chain(c2)]
-        kk = max(len(k1), len(k2))
-        s1 = [k1[min(i, len(k1) - 1)] for i in range(kk)]
-        s2 = [k2[min(i, len(k2) - 1)] for i in range(kk)]
-        lhs = L.meet2(L.join(s1), L.join(s2))
-        rhs = L.join(L.meet2(x, y) for x, y in zip(s1, s2))
-        if lhs != rhs:
+    holds = {}
+    for (b1, c1), (b2, c2) in itertools.product(seqs, repeat=2):
+        k1, k2 = seqs[b1, c1], seqs[b2, c2]
+        if (k1, k2) not in holds:
+            kk = max(len(k1), len(k2))
+            s1 = [k1[min(i, len(k1) - 1)] for i in range(kk)]
+            s2 = [k2[min(i, len(k2) - 1)] for i in range(kk)]
+            lhs = L.meet2(L.join(s1), L.join(s2))
+            rhs = L.join(L.meet2(x, y) for x, y in zip(s1, s2))
+            holds[k1, k2] = lhs == rhs
+        if not holds[k1, k2]:
             return True, False, (b1, c1, b2, c2)
     return True, True, None
 

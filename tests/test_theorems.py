@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -32,8 +33,8 @@ from bruteforce import (
     thm_treed_from_generators_naive,
     thm_unique_lift_naive,
 )
-from comaxlat import enumeration, theorems
-from comaxlat.core import LatticeSpec, validate_lattice
+from comaxlat import enumeration, factorize, theorems
+from comaxlat.core import LatticeSpec, _mask, validate_lattice
 from comaxlat.enumeration import enumerated_universe
 from comaxlat.factorize import (
     FactorKind,
@@ -49,6 +50,7 @@ from comaxlat.factorize import (
 from comaxlat.presets import PRESET_NAMES, preset
 from comaxlat.theorems import (
     THEOREM_IDS,
+    TheoremEntry,
     UnknownTheoremId,
     check_entry,
     run_theorem_suite,
@@ -237,19 +239,92 @@ def _assert_generator_twin_matches(L, tid, G="all", gens=None):
     return concl
 
 
-def _assert_kernels_match_naive(L) -> set[str]:
-    """Compare each kernel with its naive twin; return the failing entries."""
-    failing = _assert_entries_match_naive(L)
-    assert _factor_kinds(L) == factor_kinds_naive(L), L.name
-    sets = comaximal_subsets_naive(L)
-    assert list(comaximal_sets(L, L.proper_elements())) == sets
-    walk = list(_comaximal_walk(L, L.proper_elements()))
-    assert walk == [(parts, L.mul(parts)) for parts in sets], L.name
-    # the checkers' one-walk table must list, in order, what the oracle
-    # and its naive twin find element by element
+# Which of the tables that the perturbation tests change each kernel reads
+# on a valid lattice, directly or through its checker context; pinned by
+# test_kernels_read_the_lattice_tables.  Those tests compare a copy only
+# with the twins of the kernels that read a changed table, by this map or
+# as seen on the copy.  With the map, a kernel that stopped reading a
+# table, say the order's join table read in place of the lattice's own,
+# is still compared on it.
+KERNEL_READS = {
+    "lemma_comaximal": {"_quot", "_join", "_meet", "_mul", "_powers"},
+    "lemma_formulas": {"_quot", "_join", "_meet", "_powers"},
+    "thm_unique_lift": {"_quot", "_join", "_mul", "_powers"},
+    "thm_cpr_criterion": {"_quot", "_join", "_mul", "_powers"},
+    "thm_cq_characterization": {"_quot", "_join", "_mul", "_powers"},
+    "factor_kinds": {"_quot", "_join", "_mul", "_powers"},
+    "walk and oracle tables": {"_join", "_mul"},
+}
+
+
+def _watched(L, tables, kernel):
+    """``kernel(L)``, and whether it read one of the attributes ``tables``
+    of L, directly or through the lattice's methods."""
+    W = copy.copy(L)
+    W.__class__ = _reading_class(type(L), tables)
+    W.reads = False
+    return kernel(W), W.reads
+
+
+def _compared(L, perturbed, name, kernel):
+    """``kernel(L)``, and whether to compare it with its twin: always on a
+    lattice as built (``perturbed`` None), and on a copy whose tables
+    ``perturbed`` were changed when the kernel ``name`` reads one of
+    them, by KERNEL_READS or in this call."""
+    if perturbed is None:
+        return kernel(L), True
+    got, read = _watched(L, perturbed, kernel)
+    return got, read or not KERNEL_READS[name].isdisjoint(perturbed)
+
+
+@functools.cache
+def _reading_class(cls, tables):
+    """A subclass of ``cls`` whose instances set ``reads`` when one of the
+    attributes ``tables`` is read."""
+
+    def watched(name):
+        def get(self):
+            self.reads = True
+            return self.__dict__[name]
+
+        return property(get)
+
+    return type("Reading", (cls,), {t: watched(t) for t in tables})
+
+
+def _walk_and_tables(L):
+    """The comaximal sets and the walk of the proper elements, and the
+    checkers' oracle table of each kind, filtered from one walk."""
+    proper = L.proper_elements()
+    ctx = theorems._Ctx(L, tuple(L.elements()))
+    tables = {kind: _oracle_table(L, kind, ctx.walk) for kind in FactorKind}
+    return list(comaximal_sets(L, proper)), list(_comaximal_walk(L, proper)), tables
+
+
+def _assert_kernels_match_naive(L, perturbed=None) -> set[str]:
+    """Compare each kernel with its naive twin; return the failing entries.
+
+    ``perturbed`` names the tables changed in L, a perturbed copy: then
+    only the kernels that read one of them are compared.  Each of the
+    others reads only the tables of the lattice L was copied from, and
+    is compared on that lattice."""
+    failing = _assert_entries_match_naive(L, perturbed=perturbed)
+    kinds, read = _compared(L, perturbed, "factor_kinds", _factor_kinds)
+    if read:
+        assert kinds == factor_kinds_naive(L), L.name
+    (sets, walk, tables), read = _compared(
+        L, perturbed, "walk and oracle tables", _walk_and_tables
+    )
+    if not read:
+        return failing
+    assert sets == comaximal_subsets_naive(L), L.name
+    assert walk == [(parts, L.mul(parts), _mask(parts)) for parts in sets], L.name
+    # the checkers' tables, filtered from their context's one walk, must
+    # list in order what a fresh walk and the oracle find element by element
     for kind in FactorKind:
-        table = _oracle_table(L, kind)
+        table = _oracle_table(L, kind, _comaximal_walk(L, L.proper_elements()))
         assert list(table) == list(L.proper_elements()), (L.name, kind)
+        assert tables[kind] == table, (L.name, kind)
         for a in L.proper_elements():
             want = oracle_factorizations_naive(L, a, kind)
             assert oracle_factorizations(L, a, kind) == want, (L.name, a, kind)
@@ -257,14 +332,19 @@ def _assert_kernels_match_naive(L) -> set[str]:
     return failing
 
 
-def _assert_entries_match_naive(L, tids=tuple(_NAIVE_ENTRIES)) -> set[str]:
-    """Compare the entries ``tids`` of _NAIVE_ENTRIES with their twins;
-    return the failing ones."""
+def _assert_entries_match_naive(
+    L, tids=tuple(_NAIVE_ENTRIES), perturbed=None
+) -> set[str]:
+    """Compare the entries ``tids`` of _NAIVE_ENTRIES with their twins, only
+    those that read a table named in ``perturbed`` if given; return the
+    failing ones."""
     failing = set()
     for tid in tids:
+        e, read = _compared(L, perturbed, tid, lambda W: check_entry(W, tid))
+        if not read:
+            continue
         hyp, concl, witness = _NAIVE_ENTRIES[tid](L)
         labels = None if witness is None else tuple(L.label(w) for w in witness)
-        e = check_entry(L, tid)
         assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == (
             hyp,
             concl,
@@ -278,8 +358,9 @@ def _assert_entries_match_naive(L, tids=tuple(_NAIVE_ENTRIES)) -> set[str]:
 def test_kernels_match_naive_twins(universe_deep, all_presets):
     # the Boolean lattice has many comaximal sets of each size, so the
     # order of the clique walk is compared as well as its contents
+    # B3 is here because the perturbed copies below are made from it
     na = 0
-    for L in [*universe_deep, *all_presets, boolean_lattice(4)]:
+    for L in [*universe_deep, *all_presets, boolean_lattice(3), boolean_lattice(4)]:
         assert not _assert_kernels_match_naive(L)
         na += _assert_sufficiency_matches_naive(L)
     assert na > 0
@@ -327,6 +408,10 @@ def _perturbed(L, rng, tables, row=None, col=None):
     return _with_cells(L, [(table, x, y, v) for table in tables])
 
 
+# A top-row product cell, changed with the same cell of the meet table
+TOP_ROW = ("_mul", "_meet")
+
+
 def _cor_closure_fails(C) -> bool:
     return _assert_generator_twin_matches(C, "cor_closure") is False
 
@@ -342,6 +427,8 @@ def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
     # also derives the primes and the factorizations from the product
     # table, which the checker takes from the lattice as it was built; so
     # it is compared on the perturbed quotient, join and meet tables only.
+    # Each copy is compared with the twins of the kernels that read a
+    # perturbed table (see _assert_kernels_match_naive).
     rng = random.Random(20211)
     extra = random.Random(20212)
     failing = Counter()
@@ -351,15 +438,17 @@ def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
         for table in ("_quot", "_join", "_mul"):
             for _ in range(3):
                 C = _perturbed(L, rng, (table,))
-                failing.update(_assert_kernels_match_naive(C))
+                failing.update(_assert_kernels_match_naive(C, (table,)))
                 if table != "_mul":
                     failing["cor_closure"] += _cor_closure_fails(C)
         for _ in range(3):
             C = _perturbed(L, extra, ("_meet",))
-            failing.update(_assert_kernels_match_naive(C))
+            failing.update(_assert_kernels_match_naive(C, ("_meet",)))
             failing["cor_closure"] += _cor_closure_fails(C)
-            C = _perturbed(L, extra, ("_mul", "_meet"), row=L.top)
-            failing.update(f"{tid} (top row)" for tid in _assert_kernels_match_naive(C))
+            C = _perturbed(L, extra, TOP_ROW, row=L.top)
+            failing.update(
+                f"{tid} (top row)" for tid in _assert_kernels_match_naive(C, TOP_ROW)
+            )
     for tid in (*_NAIVE_ENTRIES, "cor_closure"):
         assert failing[tid] > 0, (tid, failing)
     assert failing["lemma_comaximal (top row)"] > 0, failing
@@ -378,7 +467,7 @@ def test_kernels_match_naive_twins_on_one_comaximal_cell():
         if L.comaximal(p, q):
             for table in ("_join", "_mul"):
                 C = _perturbed(L, rng, (table,), row=p, col=q)
-                failing.update(_assert_kernels_match_naive(C))
+                failing.update(_assert_kernels_match_naive(C, (table,)))
     for tid in _NAIVE_ENTRIES.keys() - {"lemma_formulas"}:
         assert failing[tid] > 0, (tid, failing)
 
@@ -434,18 +523,19 @@ def test_kernels_match_naive_twins_on_broken_identities(universe5):
     # an identity must send the kernel back to its full scan.  The join
     # cells x v x and 0 v x are off the order's table too.  A top-row
     # product cell changes its meet cell with it, as in the corrupted
-    # tables above, except in the guard cases for thm_unique_lift.
+    # tables above, except in the guard cases for thm_unique_lift.  Each
+    # guard case is compared with the twin of the kernel it guards.
     rng = random.Random(20215)
     failing = Counter()
     B3 = boolean_lattice(3)
     for L in [*universe5, B3]:
         for x in L.elements():
-            for C in (
-                _perturbed(L, rng, ("_join",), row=x, col=x),
-                _perturbed(L, rng, ("_join",), row=L.bottom, col=x),
-                _perturbed(L, rng, ("_mul", "_meet"), row=L.top, col=x),
+            for tables, C in (
+                (("_join",), _perturbed(L, rng, ("_join",), row=x, col=x)),
+                (("_join",), _perturbed(L, rng, ("_join",), row=L.bottom, col=x)),
+                (TOP_ROW, _perturbed(L, rng, TOP_ROW, row=L.top, col=x)),
             ):
-                failing.update(_assert_kernels_match_naive(C))
+                failing.update(_assert_kernels_match_naive(C, tables))
         for guard, tid, cells in _guard_breaking_cells(L, rng):
             C = _with_cells(L, cells)
             failing.update((guard, t) for t in _assert_entries_match_naive(C, (tid,)))
@@ -465,7 +555,7 @@ def test_kernels_match_naive_twins_on_broken_identities(universe5):
         C = _with_cells(B3, [
             ("_mul", top, x, top), ("_meet", top, x, top), ("_mul", x, x, bottom),
         ])
-        _assert_kernels_match_naive(C)
+        _assert_kernels_match_naive(C, TOP_ROW)
         triples += len(check_entry(C, "lemma_comaximal").witness or ()) == 4
     assert triples > 0
 
@@ -486,6 +576,84 @@ def test_valid_lattices_take_the_fast_paths(monkeypatch, universe_deep, all_pres
     monkeypatch.setattr(theorems, "_lift_matches", lift_matches)
     for L in [*universe_deep, *all_presets, *larger_lattices(), *relabeled_products()]:
         assert run_theorem_suite(L).overall_pass, L.name
+
+
+# -- one derivation per lattice ----------------------------------------------
+
+
+def test_suite_walks_once_per_lattice(monkeypatch, universe_deep, all_presets):
+    # The comaximal sets of the proper elements are walked once per lattice
+    # and shared by thm_unique_lift and both oracle tables.  Both bindings
+    # of the walk are counted: the oracle tables once walked through the
+    # one in factorize.
+    walk, walks = factorize._comaximal_walk, []
+
+    def counted(L, candidates):
+        walks.append(L)
+        return walk(L, candidates)
+
+    monkeypatch.setattr(theorems, "_comaximal_walk", counted)
+    monkeypatch.setattr(factorize, "_comaximal_walk", counted)
+    for L in [*universe_deep, *all_presets, *larger_lattices(), *relabeled_products()]:
+        walks.clear()
+        run_theorem_suite(L)
+        assert walks == [L], (L.name, len(walks))
+
+
+def test_checker_outcomes_are_bools_or_none(universe5, all_presets):
+    # The suite hands out one shared entry per checker and outcome without
+    # a witness, looked up by (theorem_id, hypotheses_hold,
+    # conclusion_holds).  A 0 or a 1 would find the entry of False or
+    # True, so every checker must return exactly a bool, and None for a
+    # conclusion it does not evaluate.  Perturbed copies reach the failing
+    # outcomes.
+    rng = random.Random(20216)
+    lattices = [*universe5, *all_presets, *larger_lattices(), *relabeled_products()]
+    for L in universe5:
+        if L.n == 5:
+            lattices += [_perturbed(L, rng, (t,)) for t in ("_quot", "_join", "_mul")]
+    outcomes = set()
+    for L in lattices:
+        for G in ("all", "principal", L.join_irreducibles()):
+            ctx = theorems._Ctx(L, theorems._resolve_generators(L, G))
+            for tid, checker in theorems._CHECKERS.items():
+                hyp, concl, _ = checker(ctx)
+                assert type(hyp) is bool, (L.name, tid, G, hyp)
+                assert type(concl) is bool if hyp else concl is None, (L.name, tid, G)
+                outcomes.add((hyp, concl))
+    assert outcomes == {(False, None), (True, True), (True, False)}
+
+
+def test_shared_entries_equal_fresh_ones(all_presets):
+    outcomes = ((False, None), (True, True), (True, False))
+    entries = theorems._ENTRIES
+    assert list(entries) == [(t, *o) for t in THEOREM_IDS for o in outcomes]
+    for (tid, hyp, concl), entry in entries.items():
+        fresh = TheoremEntry(tid, hyp, concl)
+        assert entry == fresh and hash(entry) == hash(fresh)
+        assert dataclasses.astuple(entry) == dataclasses.astuple(fresh)
+        assert dataclasses.astuple(entry) == (tid, hyp, concl, None)
+        assert dataclasses.replace(entry) == fresh
+        witnessed = dataclasses.replace(entry, witness=("a",))
+        assert witnessed == dataclasses.replace(fresh, witness=("a",))
+        assert witnessed != entry and entry.witness is None
+    # an outcome without a witness is the shared entry itself
+    for L in all_presets:
+        for e in run_theorem_suite(L).entries:
+            if e.witness is None:
+                key = e.theorem_id, e.hypotheses_hold, e.conclusion_holds
+                assert e is entries[key], (L.name, key)
+
+
+def test_kernels_read_the_lattice_tables(all_presets):
+    kernels = {tid: lambda W, tid=tid: check_entry(W, tid) for tid in _NAIVE_ENTRIES}
+    kernels["factor_kinds"] = _factor_kinds
+    kernels["walk and oracle tables"] = _walk_and_tables
+    tables = set().union(*KERNEL_READS.values())
+    for L in all_presets:
+        for name, kernel in kernels.items():
+            got = {t for t in tables if _watched(L, (t,), kernel)[1]}
+            assert got == KERNEL_READS[name], (L.name, name, got)
 
 
 def test_unique_lift_fails_on_a_wrong_quotient_by_the_top(universe5):
