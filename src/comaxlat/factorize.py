@@ -33,7 +33,6 @@ __all__ = [
     "NoFactorization",
     "refine_by_radical",
     "factor",
-    "comaximal_sets",
     "oracle_factorizations",
     "classify_lattice",
 ]
@@ -120,6 +119,13 @@ class ClassificationReport:
         assert not self.is_cpp_lattice or self.is_cpr_lattice
 
 
+def _check_elements(L: FiniteMultLattice, *xs: Elt) -> None:
+    """Raise ``KeyError`` for an index in ``xs`` outside ``range(L.n)``."""
+    for x in xs:
+        if not 0 <= x < L.n:
+            raise KeyError(f"no element with index {x}")
+
+
 def refine_by_radical(
     L: FiniteMultLattice, b: Elt, parts: list[Elt] | tuple[Elt, ...]
 ) -> list[Elt]:
@@ -131,8 +137,10 @@ def refine_by_radical(
     equal to the radical of ``ai``.  Construction: with ``ci`` the
     product of the other parts, ``bi`` is the join of the quotients
     ``(b : ci**k)`` over ``k`` up to the power-chain bound of ``ci``.
+    An index outside the lattice raises ``KeyError``.
     """
     parts = list(parts)
+    _check_elements(L, b, *parts)
     if not parts:
         raise PreconditionViolated("need at least one part")
     for p in parts:
@@ -200,17 +208,6 @@ def _cpr_lift(
     return _radical_lift(L, mins)(a), None
 
 
-def _kind_failure(
-    L: FiniteMultLattice, f: Elt, kind: FactorKind
-) -> Optional[str]:
-    """Why ``f`` cannot be a factor of the given kind, or None if it can."""
-    if kind is FactorKind.CQ and not L.is_primary(f):
-        return "factor_not_primary"
-    if kind is FactorKind.CPP and L.prime_power_witness(f) is None:
-        return "factor_not_prime_power"
-    return None
-
-
 def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
     """The unique comaximal factorization of ``a`` of the given kind.
 
@@ -221,10 +218,11 @@ def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
     prime-radical factorization; so the stronger kinds succeed exactly
     when every lifted factor satisfies the stronger condition.
 
-    Raises :class:`TopElement` for ``a = 1`` and
-    :class:`NoFactorization` (with a witness) when no factorization of
-    the requested kind exists.
+    Raises :class:`TopElement` for ``a = 1``, :class:`NoFactorization`
+    (with a witness) when no factorization of the requested kind exists,
+    and ``KeyError`` for an index outside the lattice.
     """
+    _check_elements(L, a)
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
     factors, pair = _cpr_lift(L, a)
@@ -240,76 +238,71 @@ def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
             f"({L.label(p)} v {L.label(q)} = {L.label(L.join2(p, q))})",
         )
     for f in factors:
-        reason = _kind_failure(L, f, kind)
-        if reason is not None:
-            what = "primary" if reason == "factor_not_primary" else "a prime power"
-            raise NoFactorization(
-                kind, a, reason, (f,), f"factor {L.label(f)} not {what}"
-            )
+        if kind is FactorKind.CQ and not L.is_primary(f):
+            reason, what = "factor_not_primary", "primary"
+        elif kind is FactorKind.CPP and L.prime_power_witness(f) is None:
+            reason, what = "factor_not_prime_power", "a prime power"
+        else:
+            continue
+        raise NoFactorization(kind, a, reason, (f,), f"factor {L.label(f)} not {what}")
     return Factorization(kind=kind, target=a, factors=tuple(sorted(factors)))
 
 
-def comaximal_sets(
-    L: FiniteMultLattice, candidates: Sequence[Elt]
-) -> Iterator[tuple[Elt, ...]]:
-    """Every nonempty pairwise comaximal set drawn from ``candidates``.
-
-    The sets are the cliques of the comaximality graph on the
-    candidates, walked level by level: a set is only ever extended by a
-    later candidate that is comaximal to every member already chosen,
-    so the cost is bounded by the number of such sets, not by the
-    ``2**len(candidates)`` subsets.  Sets come by size, then in
-    lexicographic order of candidate positions, exactly as filtering
-    ``itertools.combinations`` by pairwise comaximality would list
-    them; each pair ``(p, q)`` is tested as ``L.comaximal(p, q)`` with
-    ``p`` before ``q`` in ``candidates``.
-    """
-    for subset, _, _ in _comaximal_walk(L, candidates):
-        yield subset
+def _comaximal_masks(L: FiniteMultLattice) -> list[int]:
+    """``cm[a]``: the mask of the elements comaximal to ``a``, read as
+    ``join[a][c] == top``: each join row, translated to ``"1"`` at the
+    top and ``"0"`` elsewhere, read backwards is the mask in binary."""
+    bits = (b"0" * L.top + b"1").ljust(256, b"0")
+    return [int(bytes(row).translate(bits)[::-1], 2) for row in L._join]
 
 
 def _comaximal_walk(
-    L: FiniteMultLattice, candidates: Sequence[Elt]
+    L: FiniteMultLattice, candidates: int, cm: Sequence[int]
 ) -> Iterator[tuple[tuple[Elt, ...], Elt, int]]:
-    """:func:`comaximal_sets`, each set with its product and its mask.
+    """Every nonempty pairwise comaximal set of the elements in the mask
+    ``candidates``, with its product and its mask.
 
-    The product is ``L.mul`` of the set, folded from the top as the set
-    is extended; the mask has the bit of each member set.
+    The sets are the cliques of the comaximality graph ``cm``
+    (:func:`_comaximal_masks`) on the candidates, walked level by level:
+    a set is only ever extended by a later candidate comaximal to every
+    member already chosen, so the cost is bounded by the number of such
+    sets, not by the ``2**n`` subsets.  Sets come by size, then in index
+    order, exactly as filtering ``itertools.combinations`` of the
+    candidates by pairwise comaximality would list them; each pair
+    ``p < q`` is tested as ``join[p][q] == top``, bit ``q`` of
+    ``cm[p]``.  The product is ``L.mul`` of the set, folded from the top
+    as the set is extended; the mask has the bit of each member set.
     """
-    m = len(candidates)
-    join, mul, top = L._join, L._mul, L.top
-    # later[i]: positions j > i whose candidate is comaximal to the i-th
-    later = []
-    for i, c in enumerate(candidates):
-        row = join[c]
-        later.append(_mask(j for j in range(i + 1, m) if row[candidates[j]] == top))
-    # each level holds the (set, product, mask) it yields, and exts the
-    # positions that may extend each set
-    level = [((c,), mul[top][c], 1 << c) for c in candidates]
-    exts = later
+    mul = L._mul
+    # each level holds the (set, product, mask) entries it extends, and
+    # exts the later candidates comaximal to every member of each; the
+    # walk starts from the empty set and yields each entry as it is made
+    level, exts = [((), L.top, 0)], [candidates]
     while level:
         nxt, nxt_exts = [], []
-        for entry, ext in zip(level, exts):
-            yield entry
-            subset, prod, members = entry
+        for (subset, prod, members), ext in zip(level, exts):
             row = mul[prod]
             while ext:
-                j = (ext & -ext).bit_length() - 1
-                c = candidates[j]
-                nxt.append((subset + (c,), row[c], members | 1 << c))
-                nxt_exts.append(ext & later[j])
-                ext &= ext - 1
+                low = ext & -ext
+                c = low.bit_length() - 1
+                ext ^= low
+                entry = subset + (c,), row[c], members | low
+                yield entry
+                nxt.append(entry)
+                nxt_exts.append(ext & cm[c])
         level, exts = nxt, nxt_exts
 
 
 def _oracle_candidates(L: FiniteMultLattice, kind: FactorKind) -> int:
-    """The mask of the proper elements satisfying the kind's factor condition."""
-    # primary elements and prime powers have prime radicals
-    return _mask(
-        f
-        for f in L.proper_elements()
-        if L.is_prime(L.radical(f)) and _kind_failure(L, f, kind) is None
-    )
+    """The mask of the proper elements with prime radical that satisfy
+    the kind's factor condition (the top's radical is the top, no prime)."""
+    primes = L._prime_mask
+    mask = _mask(f for f, r in enumerate(L._radical) if primes >> r & 1)
+    if kind is FactorKind.CQ:
+        return mask & L._primary_mask
+    if kind is FactorKind.CPP:
+        return mask & _mask(f for f, w in enumerate(L._prime_power) if w)
+    return mask
 
 
 def oracle_factorizations(
@@ -317,48 +310,40 @@ def oracle_factorizations(
 ) -> list[Factorization]:
     """Brute-force scan for every factorization of ``a`` of the given kind.
 
-    Scans every pairwise comaximal set of proper elements satisfying
-    the kind's factor condition (:func:`comaximal_sets`) and keeps
+    Walks every pairwise comaximal set of proper elements satisfying
+    the kind's factor condition (:func:`_comaximal_walk`) and keeps
     those that multiply to ``a`` (pairwise comaximal elements are
     necessarily distinct, so sets suffice).  Results come in
     deterministic order: by size, then by the sorted factor tuple.
-    Independent of :func:`factor`.  Like :func:`factor`, it does not
-    check that ``a`` is an element: an index out of range raises
-    ``KeyError``.
+    Independent of :func:`factor`.  Like :func:`factor`, it raises
+    ``KeyError`` for an index outside the lattice.
     """
+    _check_elements(L, a)
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
-    walk = _comaximal_walk(L, L.proper_elements())
+    walk = _comaximal_walk(L, _oracle_candidates(L, kind), _comaximal_masks(L))
     return [
         Factorization(kind=kind, target=a, factors=subset)
-        for subset in _oracle_table(L, kind, walk)[a]
+        for subset, prod, _ in walk
+        if prod == a
     ]
 
 
-def _oracle_table(
+def _oracle_counts(
     L: FiniteMultLattice,
     kind: FactorKind,
     walk: Iterable[tuple[tuple[Elt, ...], Elt, int]],
-) -> dict[Elt, list[tuple[Elt, ...]]]:
-    """:func:`oracle_factorizations` of every proper element, from ``walk``,
-    the :func:`_comaximal_walk` of the proper elements.
-
-    Only the factor tuples are kept: the checkers count them, and
-    :func:`oracle_factorizations` wraps the row it reads.
-
-    Each set of the walk whose members all satisfy the kind's factor
-    condition is filed under its product, so every list keeps the
-    walk's order.  The walk lists its sets by size, then in index order,
-    and so does the part of it on the candidates: each list is what a
-    walk of the candidates alone would give.
-    """
-    table: dict[Elt, list[tuple[Elt, ...]]] = {a: [] for a in L.proper_elements()}
-    off, top = ~_oracle_candidates(L, kind), L.top
-    for subset, prod, members in walk:
-        # the top has no factorization by definition
-        if not members & off and prod != top:
-            table[prod].append(subset)
-    return table
+) -> list[int]:
+    """``counts[a]``: how many :func:`oracle_factorizations` a proper
+    ``a`` has, counting under its product each set of ``walk``, the
+    :func:`_comaximal_walk` of the proper elements, whose members all
+    meet the kind's factor condition.  The top's count is not read."""
+    counts = [0] * L.n
+    off = ~_oracle_candidates(L, kind)
+    for _, prod, members in walk:
+        if not members & off:
+            counts[prod] += 1
+    return counts
 
 
 def _factor_kinds(L: FiniteMultLattice) -> dict[FactorKind, int]:
@@ -367,7 +352,7 @@ def _factor_kinds(L: FiniteMultLattice) -> dict[FactorKind, int]:
     One prime-radical lift per element (:func:`_cpr_lift`): a primary or
     prime-power factorization is also the prime-radical one (see
     :func:`factor`), so the stronger kinds are decided on the lifted
-    factors, as :func:`_kind_failure` decides them.
+    factors, as :func:`factor` decides them.
     """
     cpr = cq = cpp = 0
     for a in L.proper_elements():

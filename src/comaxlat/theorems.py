@@ -31,9 +31,10 @@ from .core import Elt, FiniteMultLattice, LatticeError, _mask, _members
 from .factorize import (
     FactorKind,
     _classify,
+    _comaximal_masks,
     _comaximal_walk,
     _factor_kinds,
-    _oracle_table,
+    _oracle_counts,
     _radical_lift,
     classify_lattice,  # unused here; perfbench/tracing.py wraps it by name
     factor,  # unused here; perfbench/tracing.py wraps it by name
@@ -104,15 +105,14 @@ class _Ctx:
     @cached_property
     def walk(self) -> list[tuple[tuple[Elt, ...], Elt, int]]:
         """The pairwise comaximal sets of the proper elements, each with its
-        product and its mask (:func:`_comaximal_walk`)."""
-        return list(_comaximal_walk(self.L, self.L.proper_elements()))
+        product and its mask (:func:`_comaximal_walk` on ``cm``)."""
+        L = self.L
+        return list(_comaximal_walk(L, (1 << L.n) - 1 ^ 1 << L.top, self.cm))
 
     @cached_property
     def cm(self) -> list[int]:
-        """``cm[a]``: the mask of the elements comaximal to ``a``, read as
-        ``join[a][c] == top`` from the lattice's join table."""
-        join, top = self.L._join, self.L.top
-        return [_mask(c for c, v in enumerate(row) if v == top) for row in join]
+        """``cm[a]``: the elements comaximal to ``a`` (:func:`_comaximal_masks`)."""
+        return _comaximal_masks(self.L)
 
     @cached_property
     def mins(self) -> list[int]:
@@ -446,11 +446,11 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
     later one in ``cm[p]``, that is ``join[p][q] == top`` for p before q.
     """
     L = ctx.L
-    oracle = _oracle_table(L, FactorKind.CPR, ctx.walk)
+    counts = _oracle_counts(L, FactorKind.CPR, ctx.walk)
     cpr = ctx.kinds[FactorKind.CPR]
     cm, mins = ctx.cm, ctx.mins
     for a in L.proper_elements():
-        found = oracle[a]
+        found = counts[a]
         later = mins[a]
         comax = True
         for p in L.min_primes(a):
@@ -458,7 +458,7 @@ def _thm_cpr_criterion(ctx: _Ctx) -> _Result:
             if later & ~cm[p]:
                 comax = False
                 break
-        if len(found) > 1 or (len(found) == 1) != comax:
+        if found > 1 or (found == 1) != comax:
             return True, False, (a,)
         if bool(cpr >> a & 1) != comax:
             return True, False, (a,)
@@ -555,8 +555,8 @@ def _thm_cq_characterization(ctx: _Ctx) -> _Result:
     factorizations do and every element with prime radical is primary.
     The left side is a brute-force scan, the right side constructive."""
     L = ctx.L
-    oracle = _oracle_table(L, FactorKind.CQ, ctx.walk)
-    lhs = all(len(oracle[a]) == 1 for a in L.proper_elements())
+    counts = _oracle_counts(L, FactorKind.CQ, ctx.walk)
+    lhs = all(counts[a] == 1 for a in L.proper_elements())
     rhs = ctx.classification.is_cpr_lattice and all(
         L.is_primary(a)
         for a in L.proper_elements()

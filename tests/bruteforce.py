@@ -467,12 +467,13 @@ def lemma_comaximal_naive(L: FiniteMultLattice):
             ]
             if not (c1 == c2 == all(powers) == any(powers)):
                 return True, False, (a, b)
+    # the tuples come from the elements comaximal to a, which is the
+    # hypothesis applied first: the passing tuples keep their order
     for k in (2, 3):
         for a in L.elements():
-            for cs in itertools.product(L.elements(), repeat=k):
-                if all(L.comaximal(a, c) for c in cs) and not L.comaximal(
-                    a, L.mul(cs)
-                ):
+            comax = [c for c in L.elements() if L.comaximal(a, c)]
+            for cs in itertools.product(comax, repeat=k):
+                if not L.comaximal(a, L.mul(cs)):
                     return True, False, (a, *cs)
     return True, True, None
 

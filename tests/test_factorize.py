@@ -5,6 +5,8 @@ import itertools
 
 import pytest
 
+from bruteforce import boolean_lattice
+from comaxlat import factorize
 from comaxlat.factorize import (
     FactorKind,
     NoFactorization,
@@ -143,6 +145,21 @@ def test_factor_top_element_raises():
             oracle_factorizations(L1, L1.top, kind)
 
 
+def test_indices_outside_the_lattice_raise_key_error():
+    # -1 and -n would index from the end, n and n + 5 past it
+    L1 = preset("L1")
+    a, c = L1.index("a"), L1.index("c")
+    for x in (-1, -L1.n, L1.n, L1.n + 5):
+        for kind in FactorKind:
+            with pytest.raises(KeyError):
+                factor(L1, x, kind)
+            with pytest.raises(KeyError):
+                oracle_factorizations(L1, x, kind)
+        for b, parts in ((x, [c]), (a, [x]), (a, [c, x])):
+            with pytest.raises(KeyError):
+                refine_by_radical(L1, b, parts)
+
+
 def test_factor_bottom_is_allowed():
     L4 = preset("L4")
     f = factor(L4, L4.bottom, FactorKind.CPP)
@@ -159,6 +176,27 @@ def test_oracle_golden_values():
     found = oracle_factorizations(E, E.index("b"), FactorKind.CQ)
     assert len(found) == 1
     assert _labels(E, found[0].factors) == ["c", "d"]
+
+
+def test_oracle_walks_only_its_candidates(monkeypatch, all_presets):
+    # The oracle walks the comaximal sets of its kind's candidates alone,
+    # not those of every proper element.
+    walk, members = factorize._comaximal_walk, []
+
+    def recorded(*args):
+        for entry in walk(*args):
+            members.append(entry[2])
+            yield entry
+
+    monkeypatch.setattr(factorize, "_comaximal_walk", recorded)
+    for L in [*all_presets, boolean_lattice(5)]:
+        for kind in FactorKind:
+            allowed = factorize._oracle_candidates(L, kind)
+            for a in L.proper_elements():
+                members.clear()
+                oracle_factorizations(L, a, kind)
+                stray = [m for m in members if m & ~allowed]
+                assert not stray, (L.name, L.label(a), kind, stray[0])
 
 
 def test_oracle_primes_factor_as_themselves():

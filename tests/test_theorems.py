@@ -39,11 +39,9 @@ from comaxlat.enumeration import enumerated_universe
 from comaxlat.factorize import (
     FactorKind,
     NoFactorization,
-    _comaximal_walk,
     _factor_kinds,
-    _oracle_table,
+    _oracle_counts,
     classify_lattice,
-    comaximal_sets,
     factor,
     oracle_factorizations,
 )
@@ -253,7 +251,7 @@ KERNEL_READS = {
     "thm_cpr_criterion": {"_quot", "_join", "_mul", "_powers"},
     "thm_cq_characterization": {"_quot", "_join", "_mul", "_powers"},
     "factor_kinds": {"_quot", "_join", "_mul", "_powers"},
-    "walk and oracle tables": {"_join", "_mul"},
+    "walk and oracle counts": {"_join", "_mul"},
 }
 
 
@@ -292,13 +290,11 @@ def _reading_class(cls, tables):
     return type("Reading", (cls,), {t: watched(t) for t in tables})
 
 
-def _walk_and_tables(L):
-    """The comaximal sets and the walk of the proper elements, and the
-    checkers' oracle table of each kind, filtered from one walk."""
-    proper = L.proper_elements()
+def _walk_and_counts(L):
+    """The checkers' walk of the proper elements and their oracle count
+    of each kind, filtered from that walk."""
     ctx = theorems._Ctx(L, tuple(L.elements()))
-    tables = {kind: _oracle_table(L, kind, ctx.walk) for kind in FactorKind}
-    return list(comaximal_sets(L, proper)), list(_comaximal_walk(L, proper)), tables
+    return ctx.walk, {kind: _oracle_counts(L, kind, ctx.walk) for kind in FactorKind}
 
 
 def _assert_kernels_match_naive(L, perturbed=None) -> set[str]:
@@ -312,23 +308,22 @@ def _assert_kernels_match_naive(L, perturbed=None) -> set[str]:
     kinds, read = _compared(L, perturbed, "factor_kinds", _factor_kinds)
     if read:
         assert kinds == factor_kinds_naive(L), L.name
-    (sets, walk, tables), read = _compared(
-        L, perturbed, "walk and oracle tables", _walk_and_tables
+    (walk, counts), read = _compared(
+        L, perturbed, "walk and oracle counts", _walk_and_counts
     )
     if not read:
         return failing
+    sets = [parts for parts, _, _ in walk]
     assert sets == comaximal_subsets_naive(L), L.name
     assert walk == [(parts, L.mul(parts), _mask(parts)) for parts in sets], L.name
-    # the checkers' tables, filtered from their context's one walk, must
-    # list in order what a fresh walk and the oracle find element by element
+    # the oracle, walking its candidates alone, must list in order what the
+    # naive scan finds, and the checkers' counts, filtered from their
+    # context's one walk, must count it
     for kind in FactorKind:
-        table = _oracle_table(L, kind, _comaximal_walk(L, L.proper_elements()))
-        assert list(table) == list(L.proper_elements()), (L.name, kind)
-        assert tables[kind] == table, (L.name, kind)
         for a in L.proper_elements():
             want = oracle_factorizations_naive(L, a, kind)
             assert oracle_factorizations(L, a, kind) == want, (L.name, a, kind)
-            assert table[a] == [f.factors for f in want], (L.name, a, kind)
+            assert counts[kind][a] == len(want), (L.name, a, kind)
     return failing
 
 
@@ -583,21 +578,32 @@ def test_valid_lattices_take_the_fast_paths(monkeypatch, universe_deep, all_pres
 
 def test_suite_walks_once_per_lattice(monkeypatch, universe_deep, all_presets):
     # The comaximal sets of the proper elements are walked once per lattice
-    # and shared by thm_unique_lift and both oracle tables.  Both bindings
-    # of the walk are counted: the oracle tables once walked through the
-    # one in factorize.
+    # and shared by thm_unique_lift and both oracle counts.  The
+    # comaximality masks are built once per lattice too, and the walk
+    # reads the masks that lemma_comaximal and thm_cpr_criterion read.
+    # Both bindings of the walk and of the builder are counted, as the
+    # oracle tables once walked through the binding in factorize.
     walk, walks = factorize._comaximal_walk, []
+    build, builds = factorize._comaximal_masks, []
 
-    def counted(L, candidates):
-        walks.append(L)
-        return walk(L, candidates)
+    def counted_walk(L, candidates, cm):
+        walks.append((L, cm))
+        return walk(L, candidates, cm)
 
-    monkeypatch.setattr(theorems, "_comaximal_walk", counted)
-    monkeypatch.setattr(factorize, "_comaximal_walk", counted)
+    def counted_build(L):
+        builds.append((L, build(L)))
+        return builds[-1][1]
+
+    for module in (theorems, factorize):
+        monkeypatch.setattr(module, "_comaximal_walk", counted_walk)
+        monkeypatch.setattr(module, "_comaximal_masks", counted_build)
     for L in [*universe_deep, *all_presets, *larger_lattices(), *relabeled_products()]:
         walks.clear()
+        builds.clear()
         run_theorem_suite(L)
-        assert walks == [L], (L.name, len(walks))
+        assert [M for M, _ in walks] == [L], (L.name, len(walks))
+        assert [M for M, _ in builds] == [L], (L.name, len(builds))
+        assert walks[0][1] is builds[0][1], L.name
 
 
 def test_checker_outcomes_are_bools_or_none(universe5, all_presets):
@@ -648,7 +654,7 @@ def test_shared_entries_equal_fresh_ones(all_presets):
 def test_kernels_read_the_lattice_tables(all_presets):
     kernels = {tid: lambda W, tid=tid: check_entry(W, tid) for tid in _NAIVE_ENTRIES}
     kernels["factor_kinds"] = _factor_kinds
-    kernels["walk and oracle tables"] = _walk_and_tables
+    kernels["walk and oracle counts"] = _walk_and_counts
     tables = set().union(*KERNEL_READS.values())
     for L in all_presets:
         for name, kernel in kernels.items():
