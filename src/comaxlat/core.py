@@ -428,6 +428,11 @@ class FiniteMultLattice:
     checks the join-irreducibles for it, up to the first not principal.
     Set-valued results are returned as tuples sorted by element index.
 
+    Element arguments must lie in ``range(n)``.  The accessors are
+    unchecked table lookups (a negative index reads a row from the end);
+    ``factor``, ``oracle_factorizations`` and ``refine_by_radical`` are
+    the checked entry points, and raise ``KeyError`` outside it.
+
     Construct through :meth:`from_tables`, which checks every axiom
     first; :func:`validate_lattice` lowers a :class:`LatticeSpec` to
     tables and calls it.

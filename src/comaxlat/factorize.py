@@ -119,7 +119,7 @@ class ClassificationReport:
         assert not self.is_cpp_lattice or self.is_cpr_lattice
 
 
-def _check_elements(L: FiniteMultLattice, *xs: Elt) -> None:
+def _check_indices(L: FiniteMultLattice, *xs: Elt) -> None:
     """Raise ``KeyError`` for an index in ``xs`` outside ``range(L.n)``."""
     for x in xs:
         if not 0 <= x < L.n:
@@ -140,7 +140,7 @@ def refine_by_radical(
     An index outside the lattice raises ``KeyError``.
     """
     parts = list(parts)
-    _check_elements(L, b, *parts)
+    _check_indices(L, b, *parts)
     if not parts:
         raise PreconditionViolated("need at least one part")
     for p in parts:
@@ -222,7 +222,7 @@ def factor(L: FiniteMultLattice, a: Elt, kind: FactorKind) -> Factorization:
     (with a witness) when no factorization of the requested kind exists,
     and ``KeyError`` for an index outside the lattice.
     """
-    _check_elements(L, a)
+    _check_indices(L, a)
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
     factors, pair = _cpr_lift(L, a)
@@ -318,7 +318,7 @@ def oracle_factorizations(
     Independent of :func:`factor`.  Like :func:`factor`, it raises
     ``KeyError`` for an index outside the lattice.
     """
-    _check_elements(L, a)
+    _check_indices(L, a)
     if a == L.top:
         raise TopElement(f"{L.label(a)} admits no factorization")
     walk = _comaximal_walk(L, _oracle_candidates(L, kind), _comaximal_masks(L))

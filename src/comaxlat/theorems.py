@@ -14,9 +14,9 @@ conclusions are evaluated with independent code paths on the two sides
 (e.g. constructive factorization on one side, brute-force subset scans
 on the other).
 
-Entries are independent and read immutable state only, so they can be
-evaluated concurrently; the report lists them in the fixed order of
-``THEOREM_IDS``.
+Entries of one suite run share one per-lattice context, whose
+derivations are built on first use; the report lists them in the fixed
+order of ``THEOREM_IDS``.
 """
 
 from __future__ import annotations
@@ -300,57 +300,28 @@ def _lemma_formulas_scan(L: FiniteMultLattice) -> _Result:
     comparison is made once per ordered pair of distinct sequences,
     each standing for its first pair (b, c) in index order; visiting
     the sequences in that order reports the same first failing tuple
-    as the loop over all 4-tuples.  Each pair is padded to its own
-    longer length (a join need not be idempotent in a table that breaks
-    the axioms), so each sequence keeps its padded form and that form's
-    join, folded from the bottom as ``L.join`` does, for every length
-    it meets.  The quotient, join and meet tables are the lattice's own.
+    as the loop over all 4-tuples.  Each pair is padded to its longer
+    length with the last terms (a join need not be idempotent in a
+    table that breaks the axioms) and folded with ``L.join``.  The
+    quotient, join and meet tables are the lattice's own.
     """
-    els = L.elements()
-    bottom = L.bottom
-    quot, join, meet, rad = L._quot, L._join, L._meet, L._radical
-    chains = [L.power_chain(c) for c in els]
-    # firsts[seq] = (its first pair (b, c), its join)
-    firsts: dict[tuple[Elt, ...], tuple[tuple[Elt, Elt], Elt]] = {}
-    for b in els:
+    quot, meet, rad, chains = L._quot, L._meet, L._radical, L._powers
+    # firsts[seq]: the first pair (b, c) whose sequence is seq
+    firsts: dict[tuple[Elt, ...], tuple[Elt, Elt]] = {}
+    for b in L.elements():
         qb, rb = quot[b], quot[rad[b]]
-        for c in els:
-            seq = tuple(map(qb.__getitem__, chains[c]))
-            known = firsts.get(seq)
-            if known is None:
-                r = bottom
-                for x in seq:
-                    r = join[r][x]
-                known = firsts[seq] = (b, c), r
-            if rb[c] != rad[known[1]]:
+        for c, chain in enumerate(chains):
+            seq = tuple(map(qb.__getitem__, chain))
+            firsts.setdefault(seq, (b, c))
+            if rb[c] != rad[L.join(seq)]:
                 return True, False, (b, c)
-
-    lengths = {len(seq) for seq in firsts}
-    longest = max(lengths)
-    # forms[i] = (length, padded, first pair), padded[kk] = (the form padded
-    # to length kk, its join) for every kk it meets
-    forms = []
-    for seq, (first, joined) in firsts.items():
-        padded: list = [None] * (longest + 1)
-        padded[len(seq)] = seq, joined
-        for kk in lengths:
-            if kk > len(seq):
-                form = seq + seq[-1:] * (kk - len(seq))
-                r = bottom
-                for x in form:
-                    r = join[r][x]
-                padded[kk] = form, r
-        forms.append((len(seq), padded, first))
-
-    for len1, padded1, first1 in forms:
-        for len2, padded2, first2 in forms:
-            kk = len1 if len1 > len2 else len2
-            s1, j1 = padded1[kk]
-            s2, j2 = padded2[kk]
-            r = bottom
-            for x, y in zip(s1, s2):
-                r = join[r][meet[x][y]]
-            if meet[j1][j2] != r:
+    for seq1, first1 in firsts.items():
+        for seq2, first2 in firsts.items():
+            kk = max(len(seq1), len(seq2))
+            s1 = seq1 + seq1[-1:] * (kk - len(seq1))
+            s2 = seq2 + seq2[-1:] * (kk - len(seq2))
+            joined = L.join(meet[x][y] for x, y in zip(s1, s2))
+            if meet[L.join(s1)][L.join(s2)] != joined:
                 return True, False, (*first1, *first2)
     return True, True, None
 

@@ -448,10 +448,13 @@ def canonical_form_by_all_relabelings(L: FiniteMultLattice) -> bytes:
 # -- naive theorem-suite kernels ---------------------------------------------
 # Earlier engine code kept as it was (apart from taking the lattice instead of
 # the checker context): every tuple and every subset is visited, so the
-# deduplicated and clique-walking kernels can be compared against them.
+# deduplicated and clique-walking kernels can be compared against them.  Each
+# twin of a checker is named after its theorem id and takes the generating
+# set as a tuple of elements; the ones whose statement has no generators
+# ignore it.
 
 
-def lemma_comaximal_naive(L: FiniteMultLattice):
+def lemma_comaximal_naive(L: FiniteMultLattice, gens=()):
     for a in L.elements():
         for b in L.elements():
             c1 = L.comaximal(a, b)
@@ -478,7 +481,7 @@ def lemma_comaximal_naive(L: FiniteMultLattice):
     return True, True, None
 
 
-def lemma_formulas_naive(L: FiniteMultLattice):
+def lemma_formulas_naive(L: FiniteMultLattice, gens=()):
     """Both join formulas over every (b, c) and every (b1, c1, b2, c2).
 
     A comparison of part (i) reads the two sequences (b1 : c1^k) and
@@ -603,7 +606,7 @@ def factor_kinds_naive(L: FiniteMultLattice) -> dict[FactorKind, int]:
     return masks
 
 
-def thm_unique_lift_naive(L: FiniteMultLattice):
+def thm_unique_lift_naive(L: FiniteMultLattice, gens=()):
     """Every comaximal decomposition lifts uniquely through the radical.
 
     For each pairwise comaximal set of proper parts with product a: if a
@@ -642,7 +645,7 @@ def thm_unique_lift_naive(L: FiniteMultLattice):
     return True, True, None
 
 
-def thm_cpr_criterion_naive(L: FiniteMultLattice):
+def thm_cpr_criterion_naive(L: FiniteMultLattice, gens=()):
     """An element has a prime-radical factorization iff its minimal primes
     are pairwise comaximal, and then only one; every element has one iff
     the lattice is treed.
@@ -667,7 +670,7 @@ def thm_cpr_criterion_naive(L: FiniteMultLattice):
     return True, True, None
 
 
-def thm_cq_characterization_naive(L: FiniteMultLattice):
+def thm_cq_characterization_naive(L: FiniteMultLattice, gens=()):
     """Every proper element has exactly one primary factorization iff the
     lattice is a CPR lattice whose elements with prime radical are primary."""
     lhs = all(
@@ -680,9 +683,7 @@ def thm_cq_characterization_naive(L: FiniteMultLattice):
     return True, lhs == rhs, None
 
 
-# The twins below take the generating set as a tuple of elements, as
-# thm_cpr_sufficiency_naive does; the ones whose statement has no
-# generators ignore it.  Factorizations come from the subset scan of
+# In the twins below, factorizations come from the subset scan of
 # oracle_factorizations_naive, primes, minimal primes and the dimension
 # from the naive twins above.
 

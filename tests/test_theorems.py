@@ -10,28 +10,14 @@ from collections import Counter
 
 import pytest
 
+import bruteforce
 from bruteforce import (
     boolean_lattice,
     comaximal_subsets_naive,
-    cor_closure_naive,
-    cor_compact_equivalences_naive,
-    cor_cq_dimension_naive,
-    dedekind_dim1_naive,
     factor_kinds_naive,
     larger_lattices,
-    lemma_comaximal_naive,
-    lemma_cq_sufficient_naive,
-    lemma_formulas_naive,
-    lemma_prime_principal_naive,
     oracle_factorizations_naive,
     product_lattice,
-    thm_cpr_criterion_naive,
-    thm_cpr_sufficiency_naive,
-    thm_cq_characterization_naive,
-    thm_cq_generators_naive,
-    thm_dedekind_naive,
-    thm_treed_from_generators_naive,
-    thm_unique_lift_naive,
 )
 from comaxlat import enumeration, factorize, theorems
 from comaxlat.core import LatticeSpec, _mask, validate_lattice
@@ -176,65 +162,9 @@ def test_suite_is_deterministic(all_presets):
 
 # -- deduplicated kernels against their naive twins ---------------------------
 
-_NAIVE_ENTRIES = {
-    "lemma_comaximal": lemma_comaximal_naive,
-    "lemma_formulas": lemma_formulas_naive,
-    "thm_unique_lift": thm_unique_lift_naive,
-    "thm_cpr_criterion": thm_cpr_criterion_naive,
-    "thm_cq_characterization": thm_cq_characterization_naive,
-}
-
-
-def _assert_sufficiency_matches_naive(L) -> int:
-    """Compare thm_cpr_sufficiency with its subset-scanning twin for the
-    generator sets all, principal, the join-irreducibles, and those plus
-    the top; return how many of them leave it not-applicable.  The top
-    lies below no prime, so only the last set shows whether the checker
-    requires the generator to lie below the element.
-    """
-    na = 0
-    ji = L.join_irreducibles()
-    ji_top = (*ji, L.top)
-    for G, gens in (
-        ("all", tuple(L.elements())),
-        ("principal", L.principal_elements()),
-        (ji, ji),
-        (ji_top, ji_top),
-    ):
-        want = thm_cpr_sufficiency_naive(L, gens)
-        e = check_entry(L, "thm_cpr_sufficiency", G)
-        assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == want, (L.name, G)
-        na += not want[0]
-    return na
-
-
-# twins that take the generating set; they read no table directly
-_GENERATOR_TWINS = {
-    "cor_closure": cor_closure_naive,
-    "thm_treed_from_generators": thm_treed_from_generators_naive,
-    "cor_compact_equivalences": cor_compact_equivalences_naive,
-    "lemma_cq_sufficient": lemma_cq_sufficient_naive,
-    "cor_cq_dimension": cor_cq_dimension_naive,
-    "thm_cq_generators": thm_cq_generators_naive,
-    "lemma_prime_principal": lemma_prime_principal_naive,
-    "thm_dedekind": thm_dedekind_naive,
-    "dedekind_dim1": dedekind_dim1_naive,
-}
-
-
-def _assert_generator_twin_matches(L, tid, G="all", gens=None):
-    """Compare one entry with its twin for the generator set ``G``, whose
-    elements are ``gens`` (all of them by default); return the conclusion."""
-    gens = tuple(L.elements()) if gens is None else gens
-    hyp, concl, witness = _GENERATOR_TWINS[tid](L, gens)
-    labels = None if witness is None else tuple(L.label(w) for w in witness)
-    e = check_entry(L, tid, G)
-    assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == (
-        hyp,
-        concl,
-        labels,
-    ), (L.name, tid, G)
-    return concl
+# Each checker's naive twin; every twin takes the generating set, as a
+# tuple of elements.
+TWINS = {tid: getattr(bruteforce, tid + "_naive") for tid in THEOREM_IDS}
 
 
 # Which of the tables that the perturbation tests change each kernel reads
@@ -253,6 +183,58 @@ KERNEL_READS = {
     "factor_kinds": {"_quot", "_join", "_mul", "_powers"},
     "walk and oracle counts": {"_join", "_mul"},
 }
+# The checkers that read those tables, and those that take the generating
+# set but read no table directly; thm_cpr_sufficiency is compared on
+# generator sets of its own (_assert_sufficiency_matches_naive).
+TABLE_IDS = tuple(tid for tid in THEOREM_IDS if tid in KERNEL_READS)
+GENERATOR_IDS = tuple(
+    tid for tid in THEOREM_IDS if tid not in (*TABLE_IDS, "thm_cpr_sufficiency")
+)
+
+
+def _assert_twins_match(L, tids, G="all", gens=None, perturbed=None) -> set[str]:
+    """Compare the entries ``tids`` for the generator set ``G``, whose
+    elements are ``gens`` (all of them by default), with their twins;
+    return the failing ones.  ``perturbed`` names the tables changed in
+    L, a perturbed copy: then only the entries that read one of them are
+    compared (see _compared)."""
+    gens = tuple(L.elements()) if gens is None else gens
+    failing = set()
+    for tid in tids:
+        e, read = _compared(L, perturbed, tid, lambda W: check_entry(W, tid, G))
+        if not read:
+            continue
+        hyp, concl, witness = TWINS[tid](L, gens)
+        labels = None if witness is None else tuple(L.label(w) for w in witness)
+        assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == (
+            hyp,
+            concl,
+            labels,
+        ), (L.name, tid, G)
+        if concl is False:
+            failing.add(tid)
+    return failing
+
+
+def _assert_sufficiency_matches_naive(L) -> int:
+    """Compare thm_cpr_sufficiency with its subset-scanning twin for the
+    generator sets all, principal, the join-irreducibles, and those plus
+    the top; return how many of them leave it not-applicable.  The top
+    lies below no prime, so only the last set shows whether the checker
+    requires the generator to lie below the element.
+    """
+    ji = L.join_irreducibles()
+    ji_top = (*ji, L.top)
+    na = 0
+    for G, gens in (
+        ("all", None),
+        ("principal", L.principal_elements()),
+        (ji, ji),
+        (ji_top, ji_top),
+    ):
+        _assert_twins_match(L, ("thm_cpr_sufficiency",), G, gens)
+        na += not check_entry(L, "thm_cpr_sufficiency", G).hypotheses_hold
+    return na
 
 
 def _watched(L, tables, kernel):
@@ -304,7 +286,7 @@ def _assert_kernels_match_naive(L, perturbed=None) -> set[str]:
     only the kernels that read one of them are compared.  Each of the
     others reads only the tables of the lattice L was copied from, and
     is compared on that lattice."""
-    failing = _assert_entries_match_naive(L, perturbed=perturbed)
+    failing = _assert_twins_match(L, TABLE_IDS, perturbed=perturbed)
     kinds, read = _compared(L, perturbed, "factor_kinds", _factor_kinds)
     if read:
         assert kinds == factor_kinds_naive(L), L.name
@@ -327,29 +309,6 @@ def _assert_kernels_match_naive(L, perturbed=None) -> set[str]:
     return failing
 
 
-def _assert_entries_match_naive(
-    L, tids=tuple(_NAIVE_ENTRIES), perturbed=None
-) -> set[str]:
-    """Compare the entries ``tids`` of _NAIVE_ENTRIES with their twins, only
-    those that read a table named in ``perturbed`` if given; return the
-    failing ones."""
-    failing = set()
-    for tid in tids:
-        e, read = _compared(L, perturbed, tid, lambda W: check_entry(W, tid))
-        if not read:
-            continue
-        hyp, concl, witness = _NAIVE_ENTRIES[tid](L)
-        labels = None if witness is None else tuple(L.label(w) for w in witness)
-        assert (e.hypotheses_hold, e.conclusion_holds, e.witness) == (
-            hyp,
-            concl,
-            labels,
-        ), (L.name, tid)
-        if concl is False:
-            failing.add(tid)
-    return failing
-
-
 def test_kernels_match_naive_twins(universe_deep, all_presets):
     # the Boolean lattice has many comaximal sets of each size, so the
     # order of the clique walk is compared as well as its contents
@@ -363,24 +322,20 @@ def test_kernels_match_naive_twins(universe_deep, all_presets):
 
 @pytest.mark.parametrize("universe", ["universe_deep", "universe7"])
 def test_generator_checkers_match_naive_twins(request, universe, all_presets):
-    # the nine checkers of _GENERATOR_TWINS against twins written from
-    # their statements, for the generator sets all, principal and the
-    # join-irreducibles
+    # the nine checkers of GENERATOR_IDS against twins written from their
+    # statements, for the generator sets all, principal and the
+    # join-irreducibles; no entry fails on a lattice, and every entry whose
+    # hypotheses can hold on a finite lattice is applicable somewhere
     lattices = [*request.getfixturevalue(universe), *all_presets, *larger_lattices()]
-    outcomes = Counter()
+    applicable = set()
     for L in lattices:
         ji = L.join_irreducibles()
         for G, gens in (("all", None), ("principal", L.principal_elements()), (ji, ji)):
-            for tid in _GENERATOR_TWINS:
-                concl = _assert_generator_twin_matches(L, tid, G, gens)
-                outcomes[tid, concl] += 1
-    # no entry fails on a lattice, and every entry whose hypotheses can
-    # hold on a finite lattice is applicable somewhere
-    for tid in _GENERATOR_TWINS:
-        assert outcomes[tid, False] == 0, (tid, outcomes)
-        assert (outcomes[tid, True] > 0) == (tid not in NEVER_APPLICABLE), (
-            tid, outcomes
-        )
+            assert not _assert_twins_match(L, GENERATOR_IDS, G, gens), (L.name, G)
+            applicable.update(
+                tid for tid in GENERATOR_IDS if check_entry(L, tid, G).hypotheses_hold
+            )
+    assert applicable == set(GENERATOR_IDS) - set(NEVER_APPLICABLE), applicable
 
 
 def _with_cells(L, cells):
@@ -407,10 +362,6 @@ def _perturbed(L, rng, tables, row=None, col=None):
 TOP_ROW = ("_mul", "_meet")
 
 
-def _cor_closure_fails(C) -> bool:
-    return _assert_generator_twin_matches(C, "cor_closure") is False
-
-
 def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
     # One perturbed cell of the quotient, join, meet or product table makes
     # the kernels fail; the failures and their witnesses must match too.
@@ -435,16 +386,16 @@ def test_kernels_match_naive_twins_on_corrupted_tables(universe5):
                 C = _perturbed(L, rng, (table,))
                 failing.update(_assert_kernels_match_naive(C, (table,)))
                 if table != "_mul":
-                    failing["cor_closure"] += _cor_closure_fails(C)
+                    failing.update(_assert_twins_match(C, ("cor_closure",)))
         for _ in range(3):
             C = _perturbed(L, extra, ("_meet",))
             failing.update(_assert_kernels_match_naive(C, ("_meet",)))
-            failing["cor_closure"] += _cor_closure_fails(C)
+            failing.update(_assert_twins_match(C, ("cor_closure",)))
             C = _perturbed(L, extra, TOP_ROW, row=L.top)
             failing.update(
                 f"{tid} (top row)" for tid in _assert_kernels_match_naive(C, TOP_ROW)
             )
-    for tid in (*_NAIVE_ENTRIES, "cor_closure"):
+    for tid in (*TABLE_IDS, "cor_closure"):
         assert failing[tid] > 0, (tid, failing)
     assert failing["lemma_comaximal (top row)"] > 0, failing
 
@@ -463,7 +414,7 @@ def test_kernels_match_naive_twins_on_one_comaximal_cell():
             for table in ("_join", "_mul"):
                 C = _perturbed(L, rng, (table,), row=p, col=q)
                 failing.update(_assert_kernels_match_naive(C, (table,)))
-    for tid in _NAIVE_ENTRIES.keys() - {"lemma_formulas"}:
+    for tid in set(TABLE_IDS) - {"lemma_formulas"}:
         assert failing[tid] > 0, (tid, failing)
 
 
@@ -533,7 +484,7 @@ def test_kernels_match_naive_twins_on_broken_identities(universe5):
                 failing.update(_assert_kernels_match_naive(C, tables))
         for guard, tid, cells in _guard_breaking_cells(L, rng):
             C = _with_cells(L, cells)
-            failing.update((guard, t) for t in _assert_entries_match_naive(C, (tid,)))
+            failing.update((guard, t) for t in _assert_twins_match(C, (tid,)))
     assert failing["lemma_formulas"] > 0, failing
     assert failing["lemma_comaximal"] > 0, failing
     for guard in ("meet", "powers", "quotient"):
@@ -652,7 +603,7 @@ def test_shared_entries_equal_fresh_ones(all_presets):
 
 
 def test_kernels_read_the_lattice_tables(all_presets):
-    kernels = {tid: lambda W, tid=tid: check_entry(W, tid) for tid in _NAIVE_ENTRIES}
+    kernels = {tid: lambda W, tid=tid: check_entry(W, tid) for tid in TABLE_IDS}
     kernels["factor_kinds"] = _factor_kinds
     kernels["walk and oracle counts"] = _walk_and_counts
     tables = set().union(*KERNEL_READS.values())

@@ -25,13 +25,12 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import random
-import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, export
+from bench_pairs import ROOT, export, summary as quartiles
 
 SIDES = ("parent", "change")
 # The share of each size class that one pass checks, as perfbench's
@@ -86,11 +85,6 @@ def one_pass(package, lattices: list) -> float:
 def summary(parent: list[float], change: list[float]) -> dict:
     """Median and quartiles of each side, the change's median over the
     parent's, and the pairs in which the change took less time."""
-
-    def quartiles(values: list[float]) -> dict[str, float]:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        return {"median": median, "q1": q1, "q3": q3}
-
     p, c = quartiles(parent), quartiles(change)
     return {
         "parent": p,
