@@ -346,16 +346,52 @@ def _oracle_counts(
     return counts
 
 
-def _factor_kinds(L: FiniteMultLattice) -> dict[FactorKind, int]:
+def _one_part_lifts_fixed(L: FiniteMultLattice) -> bool:
+    """Whether the top row of the product table is the identity, the top's
+    power chain is the top alone, the bottom row of the join table is the
+    identity and ``(b : 1) = b`` for every ``b``, as in every valid lattice.
+
+    Then the lift of any ``b`` through any single part is ``[b]``
+    (:func:`_radical_lift`): the part's cofactor is the empty product,
+    the top, whose one power gives ``0 v (b : 1) = b``.  The lift does
+    not read the top row; ``thm_unique_lift`` needs it, for a one-part
+    decomposition ``(p,)`` to have product ``p``.  O(n).
+    """
+    top, els = L.top, tuple(L.elements())
+    return (
+        L._mul[top] == els
+        and L._powers[top] == (top,)
+        and L._join[L.bottom] == els
+        and all(row[top] == b for b, row in enumerate(L._quot))
+    )
+
+
+def _factor_kinds(
+    L: FiniteMultLattice, fixed: Optional[bool] = None
+) -> dict[FactorKind, int]:
     """For each kind, the bitmask of proper elements factoring with it.
 
     One prime-radical lift per element (:func:`_cpr_lift`): a primary or
     prime-power factorization is also the prime-radical one (see
     :func:`factor`), so the stronger kinds are decided on the lifted
-    factors, as :func:`factor` decides them.
+    factors, as :func:`factor` decides them.  Where the one-part lifts
+    are fixed (:func:`_one_part_lifts_fixed`, checked here), an element
+    with one minimal prime is its own lift, and is decided by its own
+    primary and prime-power bits, with no lift.  ``fixed`` passes that
+    check's verdict when the caller has it already.
     """
     cpr = cq = cpp = 0
+    if fixed is None:
+        fixed = _one_part_lifts_fixed(L)
+    primary, powers, mins = L._primary_mask, L._prime_power, L._min_primes
     for a in L.proper_elements():
+        if fixed and len(mins[a]) == 1:
+            bit = 1 << a
+            cpr |= bit
+            cq |= primary & bit
+            if powers[a]:  # a pair, or None
+                cpp |= bit
+            continue
         factors, _ = _cpr_lift(L, a)
         if factors is None:
             continue

@@ -34,6 +34,7 @@ from .factorize import (
     _comaximal_masks,
     _comaximal_walk,
     _factor_kinds,
+    _one_part_lifts_fixed,
     _oracle_counts,
     _radical_lift,
     classify_lattice,  # unused here; perfbench/tracing.py wraps it by name
@@ -120,9 +121,14 @@ class _Ctx:
         return [_mask(m) for m in self.L._min_primes]
 
     @cached_property
+    def one_part_fixed(self) -> bool:
+        """Whether every one-part lift is fixed (:func:`_one_part_lifts_fixed`)."""
+        return _one_part_lifts_fixed(self.L)
+
+    @cached_property
     def kinds(self) -> dict[FactorKind, int]:
         """For each kind, the bitmask of proper elements factoring with it."""
-        return _factor_kinds(self.L)
+        return _factor_kinds(self.L, self.one_part_fixed)
 
     @cached_property
     def classification(self):
@@ -185,11 +191,11 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
     since every other tuple fails the hypothesis, and folds the product
     from the top as ``L.mul`` does.  Visiting the ci in index order
     reports the same first failing tuple as the full product over the
-    lattice.  The walk keeps no memo: under the identity top row the
-    k = 2 walk never meets the same partial product twice, and the k = 3
-    walk, which only other tables reach, costs at most the sum of
-    ``|cm[a]|**3`` steps.  The quotient, join, meet and product tables,
-    the power chains and the radicals are the lattice's own.
+    lattice.  k = 2 is two nested loops over ``cm[a]``, testing
+    (1*c1)*c2; k = 3, which only other tables reach, is three, in at
+    most the sum of ``|cm[a]|**3`` steps, with no memo.  The quotient,
+    join, meet and product tables, the power chains and the radicals are
+    the lattice's own.
     """
     L, cm = ctx.L, ctx.cm
     els = L.elements()
@@ -214,27 +220,27 @@ def _lemma_comaximal(ctx: _Ctx) -> _Result:
                 return True, False, (a, b)
 
     comax = [_members(row) for row in cm]
-
-    def failing(a: Elt, r: Elt, k: int) -> Optional[tuple[Elt, ...]]:
-        """The first k-tuple cs from comax[a] with r*cs not comaximal to a."""
-        row, mr = cm[a], mul[r]
-        for c in comax[a]:
-            if k == 1:
-                tail = None if row >> mr[c] & 1 else ()
-            else:
-                tail = failing(a, mr[c], k - 1)
-            if tail is not None:
-                return (c, *tail)
-        return None
-
+    mt = mul[top]
+    for a in els:
+        row, cs = cm[a], comax[a]
+        for c1 in cs:
+            m1 = mul[mt[c1]]
+            for c2 in cs:
+                if not row >> m1[c2] & 1:
+                    return True, False, (a, c1, c2)
     # With the top row the identity, k = 2 passing says cm[a] is closed
     # under products, so no product of three of its members leaves it.
-    identity = mul[top] == tuple(els)
-    for k in (2,) if identity else (2, 3):
-        for a in els:
-            cs = failing(a, top, k)
-            if cs is not None:
-                return True, False, (a, *cs)
+    if mt == tuple(els):
+        return True, True, None
+    for a in els:
+        row, cs = cm[a], comax[a]
+        for c1 in cs:
+            m1 = mul[mt[c1]]
+            for c2 in cs:
+                m2 = mul[m1[c2]]
+                for c3 in cs:
+                    if not row >> m2[c3] & 1:
+                        return True, False, (a, c1, c2, c3)
     return True, True, None
 
 
@@ -344,7 +350,9 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     pair is scanned once per call.  When the top row of the product
     table is the identity, checked here, a one-part decomposition (p,)
     has product p, and the scan would find (b,) alone, so the lift of b
-    must be b and nothing is scanned.
+    must be b and nothing is scanned.  Where the one-part lifts are
+    fixed as well (``_Ctx.one_part_fixed``, which includes that top-row
+    identity), the lift of b is b, and nothing is lifted either.
     """
     L = ctx.L
     rad, mul, top = L._radical, L._mul, L.top
@@ -353,10 +361,11 @@ def _thm_unique_lift(ctx: _Ctx) -> _Result:
     for d in L.elements():
         same_radical[rad[d]] = same_radical.get(rad[d], 0) | 1 << d
     members = {r: _members(mask) for r, mask in same_radical.items()}
-    identity = mul[top] == tuple(L.elements())
+    fixed = ctx.one_part_fixed
+    identity = fixed or mul[top] == tuple(L.elements())
     # unlifted: the mask of the b whose one-part lift is not b (a part's
     # cofactor is the empty product, so one lift serves every part)
-    unlifted = None
+    unlifted = 0 if fixed else None
     matches: dict[tuple[Elt, tuple[Elt, ...]], list[tuple[Elt, ...]]] = {}
     for parts, a, _ in ctx.walk:
         ra = rad[a]
@@ -499,7 +508,10 @@ def _thm_cpr_sufficiency(ctx: _Ctx) -> _Result:
     decided on the primes not above a, as a generator outside all of
     them is outside every subset of them.  Both (1) and (2) read the
     up-set masks: the maximal elements above p, and the primes that
-    neither a nor a generator g lies below."""
+    neither a nor a generator g lies below.  A generator a is its own
+    witness, as ``up[a]`` contains a and meets no prime outside
+    ``up[a]``, so the generators are scanned for the other a only.  That
+    relies on ``up`` being reflexive, as ``from_tables`` builds it."""
     L = ctx.L
     if not L.generates(ctx.gens):
         return False, None, None
@@ -510,10 +522,12 @@ def _thm_cpr_sufficiency(ctx: _Ctx) -> _Result:
         for p in L.spectrum()
         if p not in minimal
     )
-    outside = [primes & ~up[a] for a in L.elements()]
+    gmask = _mask(ctx.gens)
     hyp2 = all(
-        not ps or any(up[g] >> a & 1 and not up[g] & ps for g in ctx.gens)
-        for a, ps in enumerate(outside)
+        not ps
+        or gmask >> a & 1
+        or any(up[g] >> a & 1 and not up[g] & ps for g in ctx.gens)
+        for a, ps in enumerate(primes & ~u for u in up)
     )
     hyp3 = FactorKind.CPR in ctx.gen_products_admit
     if not (hyp1 and hyp2 and hyp3):
@@ -524,15 +538,16 @@ def _thm_cpr_sufficiency(ctx: _Ctx) -> _Result:
 def _thm_cq_characterization(ctx: _Ctx) -> _Result:
     """Primary factorizations exist for everything iff prime-radical
     factorizations do and every element with prime radical is primary.
-    The left side is a brute-force scan, the right side constructive."""
+    The left side is a brute-force scan, the right side constructive:
+    no proper element with prime radical outside the primary mask."""
     L = ctx.L
     counts = _oracle_counts(L, FactorKind.CQ, ctx.walk)
     lhs = all(counts[a] == 1 for a in L.proper_elements())
-    rhs = ctx.classification.is_cpr_lattice and all(
-        L.is_primary(a)
-        for a in L.proper_elements()
-        if L.is_prime(L.radical(a))
-    )
+    # built from the prime mask and the radicals, not taken from the
+    # oracle's candidates, so that the two sides stay independent
+    primes, rad = L._prime_mask, L._radical
+    prime_radical = _mask(a for a in L.proper_elements() if primes >> rad[a] & 1)
+    rhs = ctx.classification.is_cpr_lattice and not prime_radical & ~L._primary_mask
     return True, lhs == rhs, None
 
 

@@ -339,11 +339,12 @@ def test_generator_checkers_match_naive_twins(request, universe, all_presets):
 
 
 def _with_cells(L, cells):
-    """A copy of L with each ``(table, x, y, value)`` cell set."""
+    """A copy of L with each ``(table, x, y, value)`` cell set; a cell
+    just past the end of its row extends the row."""
     C = copy.copy(L)
     for table, x, y, v in cells:
         rows = [list(r) for r in getattr(C, table)]
-        rows[x][y] = v
+        rows[x][y : y + 1] = [v]
         setattr(C, table, tuple(map(tuple, rows)))
     return C
 
@@ -423,10 +424,13 @@ def _guard_breaking_cells(L, rng):
     thm_unique_lift checks before its fast path, with the cells of a copy
     of L that break it: a power c^k not below c^(k-1); a quotient (0 : x)
     not below (0 : y), y a lower cover of x, in three cases; a meet cell
-    off the order's table; a top-row product cell, so that the top is no
-    identity.  Were the quotient identity not checked, a broken quotient
-    cell would change the verdict or witness of lemma_formulas most often
-    in the row of the bottom: for 31 of its 292 such cells in the size-5
+    off the order's table.  The one-part identity, which the factor table
+    shares, gets one case per conjunct: a top-row product cell, so that
+    the top is no identity; the top's powers extended to (1, x), x
+    proper; a join cell 0 v x other than x; a quotient (b : 1) other than
+    b.  Were the quotient identity not checked, a broken quotient cell
+    would change the verdict or witness of lemma_formulas most often in
+    the row of the bottom: for 31 of its 292 such cells in the size-5
     universe and B3, against 2 of 306 in the other rows."""
     up, covers, n = L._order.up, L._order.covers, L.n
     powers = [
@@ -456,23 +460,40 @@ def _guard_breaking_cells(L, rng):
         cases.append(("powers", "lemma_formulas", [("_powers", *rng.choice(powers))]))
     for cell in rng.sample(quots, min(3, len(quots))):
         cases.append(("quotient", "lemma_formulas", [("_quot", *cell)]))
+    x, y = rng.choice(L.proper_elements()), rng.randrange(n)
+    join = rng.choice([v for v in L.elements() if v != y])
+    b = rng.randrange(n)
+    quot = rng.choice([v for v in L.elements() if v != b])
+    cases += [
+        ("top powers", "thm_unique_lift", [("_powers", L.top, 1, x)]),
+        ("bottom join row", "thm_unique_lift", [("_join", L.bottom, y, join)]),
+        ("quotient by the top", "thm_unique_lift", [("_quot", b, L.top, quot)]),
+    ]
     return cases
 
 
+# The guard cases of _guard_breaking_cells over the size-5 universe and B3.
+GUARD_CASES = 318
+
+
 def test_kernels_match_naive_twins_on_broken_identities(universe5):
-    # Three kernels skip work that an identity of the tables decides, and
+    # Four kernels skip work that an identity of the tables decides, and
     # check the identity first: lemma_formulas reads each sequence's last
     # term when the join and meet tables are the order's, the power chains
     # decrease and the quotient rows are antitone; thm_unique_lift skips
     # the one-part scans, and lemma_comaximal decides k = 3 by k = 2, when
-    # the top row of the product table is the identity.  One cell breaking
-    # an identity must send the kernel back to its full scan.  The join
-    # cells x v x and 0 v x are off the order's table too.  A top-row
-    # product cell changes its meet cell with it, as in the corrupted
-    # tables above, except in the guard cases for thm_unique_lift.  Each
-    # guard case is compared with the twin of the kernel it guards.
+    # the top row of the product table is the identity; thm_unique_lift
+    # and the factor table skip the one-part lifts when every one-part
+    # lift is fixed.  One cell breaking an identity must send the kernel
+    # back to its full scan.  The join cells x v x and 0 v x are off the
+    # order's table too.  A top-row product cell changes its meet cell
+    # with it, as in the corrupted tables above, except in the guard cases
+    # for thm_unique_lift.  Each guard case is compared with the twin of
+    # the kernel it guards, and those of thm_unique_lift with the factor
+    # table's twin as well.
     rng = random.Random(20215)
     failing = Counter()
+    cases = 0
     B3 = boolean_lattice(3)
     for L in [*universe5, B3]:
         for x in L.elements():
@@ -485,11 +506,25 @@ def test_kernels_match_naive_twins_on_broken_identities(universe5):
         for guard, tid, cells in _guard_breaking_cells(L, rng):
             C = _with_cells(L, cells)
             failing.update((guard, t) for t in _assert_twins_match(C, (tid,)))
+            if tid == "thm_unique_lift":
+                # the factor table decides its one-part lifts by the same
+                # identity, which the suite's context checks once for both;
+                # a factor that is not the element changes a primary or
+                # prime-power bit
+                kinds = _factor_kinds(C)
+                ctx = theorems._Ctx(C, tuple(C.elements()))
+                assert kinds == factor_kinds_naive(C) == ctx.kinds, (L.name, guard)
+                failing[guard, "factor_kinds"] += kinds != _factor_kinds(L)
+            cases += 1
+    assert cases == GUARD_CASES, cases
     assert failing["lemma_formulas"] > 0, failing
     assert failing["lemma_comaximal"] > 0, failing
     for guard in ("meet", "powers", "quotient"):
         assert failing[guard, "lemma_formulas"] > 0, (guard, failing)
-    assert failing["top row", "thm_unique_lift"] > 0, failing
+    for guard in ("top row", "top powers", "bottom join row", "quotient by the top"):
+        assert failing[guard, "thm_unique_lift"] > 0, (guard, failing)
+    for guard in ("top powers", "bottom join row", "quotient by the top"):
+        assert failing[guard, "factor_kinds"] > 0, (guard, failing)
     # With every other row intact, k = 2 decides k = 3 even on a broken
     # top row, so these cases break row x too: with 1*x = 1, k = 2 never
     # reads row x, while k = 3 reaches it as c1*c2 with c1 != x, and
@@ -508,18 +543,32 @@ def test_kernels_match_naive_twins_on_broken_identities(universe5):
 
 def test_valid_lattices_take_the_fast_paths(monkeypatch, universe_deep, all_presets):
     # On a valid lattice every identity above holds, so lemma_formulas
-    # never scans and thm_unique_lift never scans a one-part decomposition.
+    # never scans, thm_unique_lift never scans or lifts a one-part
+    # decomposition, and the factor table lifts only the elements with
+    # two or more minimal primes: an element with one is its own lift.
     def no_scan(*args):
         raise AssertionError("lemma_formulas scanned a valid lattice")
 
     scan = theorems._lift_matches
+    radical_lift = theorems._radical_lift
+    cpr_lift = factorize._cpr_lift
 
     def lift_matches(L, b, rads, same_radical):
         assert len(rads) > 1, "thm_unique_lift scanned a one-part decomposition"
         return scan(L, b, rads, same_radical)
 
+    def counted_radical_lift(L, parts):
+        assert len(parts) > 1, "thm_unique_lift lifted a one-part decomposition"
+        return radical_lift(L, parts)
+
+    def counted_cpr_lift(L, a):
+        assert len(L._min_primes[a]) > 1, ("the factor table lifted", L.name, a)
+        return cpr_lift(L, a)
+
     monkeypatch.setattr(theorems, "_lemma_formulas_scan", no_scan)
     monkeypatch.setattr(theorems, "_lift_matches", lift_matches)
+    monkeypatch.setattr(theorems, "_radical_lift", counted_radical_lift)
+    monkeypatch.setattr(factorize, "_cpr_lift", counted_cpr_lift)
     for L in [*universe_deep, *all_presets, *larger_lattices(), *relabeled_products()]:
         assert run_theorem_suite(L).overall_pass, L.name
 

@@ -12,8 +12,10 @@ a seeded quarter of each size class (``perfbench/run.py``,
 parent first in even passes, and each times ``run_theorem_suite`` over
 the whole sample with ``time.process_time``, so a drift of the host's
 speed falls on both sides alike.  Pass ``i`` of each side forms pair
-``i``.  Before timing, the two sides must give the same entries on
-every lattice of the sample.
+``i``.  Before timing, the two sides must give the same
+``classify_lattice`` report on every lattice of the universe, as
+``dataclasses.astuple``, and the same entries on every lattice of the
+sample.
 
 Prints each side's median and quartiles in seconds per pass, the
 change's median against the parent's, and in how many pairs the change
@@ -23,6 +25,7 @@ was faster.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -50,17 +53,27 @@ def load(src: Path, name: str):
     return module
 
 
-def sample(package, seed: int) -> list:
-    """A seeded share of every size class of the universe up to size 7."""
+def universe(package) -> list:
+    """Every lattice up to size 7."""
+    return package.enumeration.enumerated_universe(7, size_cap=7)
+
+
+def sample(lattices: list, seed: int) -> list:
+    """A seeded share of every size class of ``lattices``."""
     rng = random.Random(seed)
     by_size: dict[int, list] = {}
-    for L in package.enumeration.enumerated_universe(7, size_cap=7):
+    for L in lattices:
         by_size.setdefault(L.n, []).append(L)
     out = []
     for n in sorted(by_size):
         group = by_size[n]
         out.extend(rng.sample(group, max(1, round(len(group) * SHARE))))
     return out
+
+
+def reports(package, lattices: list) -> list:
+    """The ``classify_lattice`` report of each lattice, as a plain tuple."""
+    return [dataclasses.astuple(package.classify_lattice(L)) for L in lattices]
 
 
 def entries(package, lattices: list) -> list:
@@ -109,7 +122,13 @@ def main(argv=None) -> int:
             "parent": load(parent_tree / "src", "comaxlat_parent"),
             "change": load(ROOT / "src", "comaxlat_change"),
         }
-        lattices = {who: sample(packages[who], args.seed) for who in SIDES}
+        universes = {who: universe(packages[who]) for who in SIDES}
+        if reports(packages["parent"], universes["parent"]) != reports(
+            packages["change"], universes["change"]
+        ):
+            print("error: the two sides classify differently", file=sys.stderr)
+            return 1
+        lattices = {who: sample(universes[who], args.seed) for who in SIDES}
         if entries(packages["parent"], lattices["parent"]) != entries(
             packages["change"], lattices["change"]
         ):
